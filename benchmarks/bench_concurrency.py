@@ -17,16 +17,10 @@ Run this module as a script to emit ``BENCH_concurrency.json``::
     PYTHONPATH=src python benchmarks/bench_concurrency.py --json --out path.json
 
 The JSON payload records, per thread count, the wall time, aggregate
-throughput, and speedup over the single-thread run — plus the resolved
-``kernel_backend``, the machine's ``cpu_count``, and the ``numba_version``
-(``null`` when numba is absent), so a reader can tell GIL-bound numbers on
-a big box from GIL-free numbers on a small one.  With the ``numpy``
-backend, Python threads share the GIL and the speedup reflects only the
-time inside GIL-releasing NumPy/SciPy calls; the ``numba`` backend runs the
-hot sweeps as ``nogil`` compiled kernels, which is where multi-thread
-speedup on one shared operator comes from.  An untimed warmup solve runs
-before anything is measured (it also forces one-time JIT compilation on
-the numba backend).
+throughput, and speedup over the single-thread run — plus the machine's
+``cpu_count``.  Python threads share the GIL, so the speedup reflects only
+the time spent inside GIL-releasing NumPy/SciPy calls.  An untimed warmup
+solve runs before anything is measured.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ from repro.core.chain_cache import clear_chain_cache
 from repro.core.config import SolverConfig
 from repro.core.operator import factorize
 from repro.graph import generators
-from repro.kernels import numba_version
 
 
 def _rhs_pool(graph, num_rhs: int, seed: int = 3) -> List[np.ndarray]:
@@ -103,26 +96,17 @@ def collect_payload(
     num_rhs: int = 24,
     method: str = "pcg",
     repeats: int = 1,
-    backend: str = "auto",
-    array_backend: str = "numpy",
 ) -> Dict:
     """Throughput of one shared operator at each thread count (best of repeats)."""
     clear_chain_cache()
     g = generators.grid_2d(side, side)
     t0 = time.time()
-    op = factorize(
-        g,
-        solver=SolverConfig(
-            method=method, kernel_backend=backend, array_backend=array_backend
-        ),
-        seed=0,
-    )
+    op = factorize(g, solver=SolverConfig(method=method), seed=0)
     setup_seconds = time.time() - t0
     pool = _rhs_pool(g, num_rhs)
 
-    # Untimed warmup: steadies allocators/caches and, on the numba backend,
-    # absorbs the one-time JIT compilation of every kernel the solve touches
-    # so no timed run (nor the serial references) pays it.
+    # Untimed warmup: steadies allocators/caches so no timed run (nor the
+    # serial references) pays first-touch costs.
     op.solve(pool[0])
 
     # Serial references: the bit-identity baseline for every thread count
@@ -148,16 +132,12 @@ def collect_payload(
 
     return {
         "experiment": "concurrency",
-        "schema_version": 3,
+        "schema_version": 4,
         "workload": f"grid{side}",
         "n": g.n,
         "m": g.num_edges,
         "method": method,
-        "array_backend": op.array_ns.name,
-        "kernel_backend": op.kernels.name,
-        "kernel_jit": op.kernels.jit,
         "cpu_count": os.cpu_count(),
-        "numba_version": numba_version(),
         "chain_levels": op.chain.depth,
         "baseline_threads": thread_counts[0],
         "setup_seconds": setup_seconds,
@@ -190,17 +170,6 @@ def main(argv=None) -> int:
     parser.add_argument("--solves", type=int, default=24, help="total solves per run")
     parser.add_argument("--method", default="pcg", help="solve method to drive")
     parser.add_argument("--repeats", type=int, default=1, help="timed repeats (best kept)")
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        help="kernel backend (auto/numpy/numba; REPRO_KERNEL_BACKEND overrides)",
-    )
-    parser.add_argument(
-        "--array-backend",
-        default="numpy",
-        help="array namespace the solves run in (numpy, cupy, fakedevice, "
-        "array_api:<module>); recorded in the JSON payload",
-    )
     args = parser.parse_args(argv)
 
     payload = collect_payload(
@@ -209,12 +178,10 @@ def main(argv=None) -> int:
         num_rhs=args.solves,
         method=args.method,
         repeats=args.repeats,
-        backend=args.backend,
-        array_backend=args.array_backend,
     )
     print(
         f"{payload['workload']} (n={payload['n']}, method={payload['method']}, "
-        f"backend={payload['kernel_backend']}, cpus={payload['cpu_count']}): "
+        f"cpus={payload['cpu_count']}): "
         f"per-solve work {payload['per_solve_work']:.4g}"
     )
     for run in payload["runs"]:

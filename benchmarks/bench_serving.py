@@ -43,7 +43,6 @@ import numpy as np
 from repro.core import chain_cache
 from repro.core.operator import factorize
 from repro.graph import generators
-from repro.kernels import BACKEND_ENV_VAR, numba_version, resolve_backend
 from repro.serving import ServiceConfig, SolverService, bucket_tol
 
 
@@ -242,15 +241,8 @@ def collect_payload(
     max_batch: int = 16,
     seed: int = 0,
     scenarios: Optional[Sequence[str]] = None,
-    backend: str = "auto",
 ) -> Dict:
     """Uniform + mixed serving scenarios, coalesced vs no-coalescing."""
-    # The service factorizes internally with the default SolverConfig, so a
-    # non-default backend is selected the supported way: the env override
-    # every factorize() consults.
-    if backend != "auto":
-        os.environ[BACKEND_ENV_VAR] = backend
-    resolved_backend = resolve_backend(backend)
     chain_cache.clear_chain_cache()
     grid = generators.grid_2d(side, side)
     sparse = generators.erdos_renyi_gnm(side * side, 2 * side * side, seed=5)
@@ -293,14 +285,12 @@ def collect_payload(
         )
     return {
         "experiment": "serving",
-        "schema_version": 2,
+        "schema_version": 3,
         "side": side,
         "clients": clients,
         "window_seconds": window_seconds,
         "max_batch": max_batch,
-        "kernel_backend": resolved_backend,
         "cpu_count": os.cpu_count(),
-        "numba_version": numba_version(),
         "scenarios": results,
     }
 
@@ -328,11 +318,6 @@ def main(argv=None) -> int:
         default=None,
         help="subset of scenarios to run (default: both)",
     )
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        help="kernel backend (auto/numpy/numba; REPRO_KERNEL_BACKEND overrides)",
-    )
     args = parser.parse_args(argv)
 
     payload = collect_payload(
@@ -343,7 +328,6 @@ def main(argv=None) -> int:
         window_seconds=args.window,
         max_batch=args.max_batch,
         scenarios=args.scenarios,
-        backend=args.backend,
     )
     for scenario in payload["scenarios"]:
         co, base = scenario["coalesced"], scenario["baseline"]

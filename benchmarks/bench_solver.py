@@ -310,16 +310,16 @@ def pyamg_baseline(lap, b: np.ndarray, tol: float = 1e-8, maxiter: int = 400):
 # --------------------------------------------------------------------------- #
 # standalone --json harness
 # --------------------------------------------------------------------------- #
-#: sha256 of the pcg_grid24 solution at pre-array-namespace HEAD (the same
-#: pin tests/test_bit_identity.py carries): grid_2d(24,24), seed=0 factorize,
+#: sha256 of the pcg_grid24 solution (the same pin tests/test_bit_identity.py
+#: carries): grid_2d(24,24), seed=0 factorize,
 #: default_rng(7) mean-centered RHS, default-config solve.
 _PINNED_PCG_GRID24_DIGEST = (
     "6ed727dc0d3371c42dfec527870ee7a4925faa5bce22ee91a3eeef5b564157c1"
 )
 
 
-def assert_numpy_backend_bit_identity() -> None:
-    """Fail fast if the default-backend solve drifted from the pinned digest.
+def assert_pinned_bit_identity() -> None:
+    """Fail fast if the default-config solve drifted from the pinned digest.
 
     Runs the exact pinned recipe; raises ``AssertionError`` on any drift so a
     regenerated ``BENCH_solver.json`` can never silently ship numbers from a
@@ -335,30 +335,24 @@ def assert_numpy_backend_bit_identity() -> None:
         np.ascontiguousarray(r.x, dtype=np.float64).tobytes()
     ).hexdigest()
     assert digest == _PINNED_PCG_GRID24_DIGEST, (
-        "default-config numpy-backend solve drifted from the pinned "
-        f"pre-refactor digest ({digest} != {_PINNED_PCG_GRID24_DIGEST})"
+        "default-config solve drifted from the pinned "
+        f"digest ({digest} != {_PINNED_PCG_GRID24_DIGEST})"
     )
 
 
-def collect_payload(
-    sizes=(16, 24, 32, 64, 100), batch_width: int = 8, array_backend: str = "numpy"
-) -> Dict:
+def collect_payload(sizes=(16, 24, 32, 64, 100), batch_width: int = 8) -> Dict:
     """Measure setup vs per-solve cost and multi-RHS behaviour per workload."""
     clear_chain_cache()
-    solver_cfg = SolverConfig(array_backend=array_backend)
-    if array_backend == "numpy":
-        # In-bench bit-identity gate: committed JSON always comes from a
-        # solver whose default path matches the pinned digests.
-        assert_numpy_backend_bit_identity()
+    # In-bench bit-identity gate: committed JSON always comes from a solver
+    # whose default path matches the pinned digests.
+    assert_pinned_bit_identity()
     workloads: List[Dict] = []
     for size in sizes:
         g = generators.grid_2d(size, size)
         batch = _rhs_batch(g, batch_width)
         b = _rhs(g)
 
-        row, op, setup_seconds = _multi_rhs_row(
-            f"grid{size}", g, batch, solver=solver_cfg
-        )
+        row, op, setup_seconds = _multi_rhs_row(f"grid{size}", g, batch)
         lap = graph_to_laplacian(g)
 
         t0 = time.time()
@@ -399,9 +393,8 @@ def collect_payload(
         pyamg_available = False
     return {
         "experiment": "E8",
-        "schema_version": 3,
+        "schema_version": 4,
         "batch_width": batch_width,
-        "array_backend": array_backend,
         "baseline_availability": {"scipy_cg": True, "pyamg": pyamg_available},
         "workloads": workloads,
     }
@@ -428,17 +421,9 @@ def main(argv=None) -> int:
         " makes 10k-vertex setups routine)",
     )
     parser.add_argument("--batch", type=int, default=8, help="multi-RHS batch width")
-    parser.add_argument(
-        "--array-backend",
-        default="numpy",
-        help="array namespace the solves run in (numpy, cupy, fakedevice, "
-        "array_api:<module>); recorded in the JSON payload",
-    )
     args = parser.parse_args(argv)
 
-    payload = collect_payload(
-        sizes=tuple(args.sizes), batch_width=args.batch, array_backend=args.array_backend
-    )
+    payload = collect_payload(sizes=tuple(args.sizes), batch_width=args.batch)
     for w in payload["workloads"]:
         ratio = w["multi_rhs"]["work_ratio"]
         cg = w["baselines"]["scipy_cg"]

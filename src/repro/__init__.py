@@ -37,9 +37,6 @@ Public API highlights
 * :class:`repro.pram.CostModel` — PRAM work/depth accounting used by the
   benchmarks.
 
-Deprecated (thin shims, to be removed): :class:`repro.SDDSolver`,
-:func:`repro.sdd_solve`.
-
 Quickstart
 ----------
 >>> import numpy as np, repro
@@ -68,18 +65,7 @@ from repro.core.chain_cache import (
     set_chain_cache_capacity,
     set_chain_cache_ttl,
 )
-from repro.core.solver import SDDSolver, sdd_solve
 from repro.api import solve
-from repro.kernels import (
-    KernelBackendError,
-    available_backends as available_kernel_backends,
-    numba_available,
-)
-from repro.kernels.array_ns import (
-    ArrayBackendError,
-    available_array_backends,
-    get_namespace,
-)
 from repro.serving import ServiceConfig, ServiceStats, SolverService
 from repro.apps.harmonic import harmonic_interpolation, harmonic_labels
 from repro.apps.resistance import ResistanceOracle, effective_resistance_pairs
@@ -106,12 +92,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "UpdateReport",
-    "KernelBackendError",
-    "available_kernel_backends",
-    "numba_available",
-    "ArrayBackendError",
-    "available_array_backends",
-    "get_namespace",
     "chain_cache_stats",
     "clear_chain_cache",
     "set_chain_cache_capacity",
@@ -126,8 +106,6 @@ __all__ = [
     "harmonic_labels",
     "spectral_embedding",
     "fiedler_vector",
-    "SDDSolver",
-    "sdd_solve",
     "CostModel",
     "__version__",
 ]

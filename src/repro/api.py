@@ -40,16 +40,6 @@ from repro.core.operator import (
 )
 from repro.core.update import UpdateReport
 from repro.graph.edits import EdgeEdits
-from repro.kernels import (
-    KernelBackendError,
-    available_backends as available_kernel_backends,
-    numba_available,
-)
-from repro.kernels.array_ns import (
-    ArrayBackendError,
-    available_array_backends,
-    get_namespace,
-)
 from repro.pram.model import CostModel
 from repro.serving import ServiceConfig, ServiceStats, SolverService
 from repro.util.rng import RngLike
@@ -63,12 +53,6 @@ __all__ = [
     "UpdateReport",
     "ChainConfig",
     "SolverConfig",
-    "KernelBackendError",
-    "available_kernel_backends",
-    "numba_available",
-    "ArrayBackendError",
-    "available_array_backends",
-    "get_namespace",
     "SolverService",
     "ServiceConfig",
     "ServiceStats",

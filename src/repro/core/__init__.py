@@ -29,8 +29,6 @@
   multi-RHS support.
 * :mod:`~repro.core.chain_cache` — process-level cache of factorized
   operators keyed by graph fingerprint + config.
-* :mod:`~repro.core.solver` — deprecated ``SDDSolver`` / ``sdd_solve``
-  shims forwarding to the new API.
 """
 
 from repro.core.ball_growing import grow_balls, BallGrowth
@@ -71,7 +69,6 @@ from repro.core.chain_cache import (
     set_chain_cache_capacity,
     ChainCacheStats,
 )
-from repro.core.solver import SDDSolver, sdd_solve
 
 __all__ = [
     "grow_balls",
@@ -121,7 +118,5 @@ __all__ = [
     "invalidate_fingerprint",
     "set_chain_cache_capacity",
     "ChainCacheStats",
-    "SDDSolver",
-    "sdd_solve",
     "SolveReport",
 ]

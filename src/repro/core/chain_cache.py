@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import threading
 import time
-import types
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, Optional, Tuple
@@ -77,7 +76,6 @@ import scipy.sparse as sp
 
 from repro.core.config import ChainConfig, SolverConfig
 from repro.graph.graph import Graph
-from repro.kernels.array_ns import ArrayNamespace
 
 #: Default capacity of the process-level cache (LRU eviction beyond this).
 DEFAULT_CAPACITY = 32
@@ -221,10 +219,7 @@ def _iter_ndarrays(root) -> Iterator[np.ndarray]:
     Generic object-graph walk (``__dict__``/``__slots__``, containers,
     scipy sparse buffer attributes) with an identity ``seen`` set; leaves
     that are not arrays or containers are ignored, so locks, RNGs, and
-    callables are safely skipped.  Non-NumPy array objects (device arrays
-    of a non-host array backend) are counted through their ``nbytes`` duck
-    type; array-namespace and module objects are skipped outright so the
-    walk never descends into an entire third-party package.
+    callables are safely skipped.
     """
     seen = set()
     stack = [root]
@@ -232,11 +227,6 @@ def _iter_ndarrays(root) -> Iterator[np.ndarray]:
     while stack:
         obj = stack.pop()
         if obj is None or isinstance(obj, (str, bytes, bool, int, float, complex, type)):
-            continue
-        if isinstance(obj, types.ModuleType) or isinstance(obj, ArrayNamespace):
-            # An operator of a non-host backend holds its namespace (which
-            # holds ``xp`` — potentially the whole numpy/cupy module graph);
-            # namespaces own no chain data, so prune the walk here.
             continue
         oid = id(obj)
         if oid in seen:
@@ -259,14 +249,6 @@ def _iter_ndarrays(root) -> Iterator[np.ndarray]:
             continue
         if isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
-            continue
-        # Duck-typed array leaf: device arrays (fakedevice wrappers, cupy
-        # ndarrays, Array-API arrays) expose ``nbytes``/``shape`` without
-        # being np.ndarray.  Yield without recursing — descending into a
-        # wrapper would double-count its backing host buffer.
-        nbytes = getattr(obj, "nbytes", None)
-        if isinstance(nbytes, (int, np.integer)) and hasattr(obj, "shape"):
-            yield obj
             continue
         if callable(obj) and not hasattr(obj, "__dict__"):
             continue

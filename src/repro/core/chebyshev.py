@@ -27,7 +27,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import KernelSet, default_kernels
 from repro.util.rng import RngLike, as_rng
 
 
@@ -41,7 +40,6 @@ def chebyshev_apply(
     iterations: int,
     x0: Optional[np.ndarray] = None,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    kernels: Optional[KernelSet] = None,
 ) -> np.ndarray:
     """Run ``iterations`` preconditioned Chebyshev steps for ``A x = b``.
 
@@ -57,33 +55,30 @@ def chebyshev_apply(
     project:
         Optional projection applied to iterates (null-space handling for
         Laplacians).
-    kernels:
-        :class:`~repro.kernels.KernelSet` running the recurrence updates
-        (reference NumPy when omitted); bit-for-bit interchangeable.
     """
     if lambda_max <= lambda_min or lambda_min <= 0:
         raise ValueError("need 0 < lambda_min < lambda_max")
-    kset = kernels if kernels is not None else default_kernels()
-    ns = kset.array_ns
     proj = project if project is not None else (lambda v: v)
-    b = proj(ns.ensure(b))
-    x = ns.zeros_like(b) if x0 is None else proj(ns.ensure(x0).copy())
+    b = proj(np.asarray(b, dtype=float))
+    x = np.zeros_like(b) if x0 is None else proj(np.asarray(x0, dtype=float).copy())
     theta = 0.5 * (lambda_max + lambda_min)
     delta = 0.5 * (lambda_max - lambda_min)
     r = proj(b - apply_a(x))
-    p = ns.zeros_like(b)
+    p = np.zeros_like(b)
     alpha = 0.0
     for k in range(max(iterations, 0)):
         z = proj(apply_m(r))
         if k == 0:
-            p[:] = z  # copy (not rebind): p stays kernel-owned for in-place updates
+            p[:] = z  # copy (not rebind): p stays owned here for in-place updates
             alpha = 1.0 / theta
         else:
             beta = 0.5 * (delta * alpha) ** 2 if k == 1 else (0.5 * delta * alpha) ** 2
             alpha = 1.0 / (theta - beta / alpha)
-            kset.cheb_update_p(p, z, beta)  # p = z + beta p (bitwise, commuted)
-        kset.cheb_update_x(x, p, alpha)  # x += alpha p
-        kset.cheb_update_r(r, apply_a(p), alpha)  # r -= alpha A p
+            # p = z + beta p, evaluated in place (bitwise equal, commuted)
+            p *= beta
+            p += z
+        x += alpha * p
+        r -= alpha * apply_a(p)
         r = proj(r)
     return proj(x)
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.core.methods import available_methods
-from repro.kernels import BACKEND_NAMES as KERNEL_BACKEND_NAMES
-from repro.kernels.array_ns import ARRAY_BACKEND_NAMES, is_valid_backend_name
 from repro.util.dtypes import INDEX_DTYPE_NAMES, VALUE_DTYPE_NAMES
 
 
@@ -147,51 +145,18 @@ class SolverConfig:
         (overridable per call).
     max_iterations:
         Default cap on outer iterations (overridable per call).
-    kernel_backend:
-        Implementation of the solve-path inner loops
-        (:mod:`repro.kernels`): ``"numpy"`` (reference sweeps),
-        ``"numba"`` (GIL-releasing compiled kernels; raises at factorize
-        time when numba is missing), or ``"auto"`` (numba when available,
-        else numpy).  The ``REPRO_KERNEL_BACKEND`` environment variable, if
-        set, overrides this at factorize time.  Backends are bit-for-bit
-        interchangeable — solves return identical results either way.
-    array_backend:
-        Array namespace the solve path executes in
-        (:mod:`repro.kernels.array_ns`): ``"numpy"`` (default, host arrays,
-        bit-identical to historical behaviour), ``"cupy"`` (GPU-resident
-        chains; requires cupy), ``"array_api:<module>"`` (any CPU-backed
-        Array-API namespace, e.g. ``array_api:array_api_strict``), or
-        ``"fakedevice"`` (test-only residency-proving wrappers).  The
-        ``REPRO_ARRAY_BACKEND`` environment variable, if set, overrides this
-        at factorize time — and unlike the kernel backend, the *resolved*
-        name enters the chain-cache key, because operators of different
-        array backends hold their chains in different memories and are never
-        interchangeable.  Only ``"numpy"`` may be combined with
-        ``kernel_backend="numba"``.
     """
 
     method: str = "pcg"
     inner_iterations: Optional[int] = None
     tol: float = 1e-8
     max_iterations: int = 200
-    kernel_backend: str = "auto"
-    array_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         known = available_methods()
         if self.method not in known:
             raise ValueError(
                 f"unknown method {self.method!r}; registered methods: {', '.join(known)}"
-            )
-        if self.kernel_backend not in KERNEL_BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKEND_NAMES}"
-            )
-        if not is_valid_backend_name(self.array_backend):
-            raise ValueError(
-                f"unknown array_backend {self.array_backend!r}; "
-                f"expected one of {ARRAY_BACKEND_NAMES} or 'array_api:<module>'"
             )
         if self.inner_iterations is not None and int(self.inner_iterations) < 1:
             raise ValueError(
@@ -213,17 +178,8 @@ class SolverConfig:
 
         Only the fields that shape the factorized operator's state
         (``method`` drives Chebyshev calibration, ``inner_iterations`` the
-        per-level budget, ``kernel_backend`` the kernel set the operator
-        binds) participate; ``tol`` and ``max_iterations`` are per-call
-        defaults that any solve can override, so differing values share one
-        cached factorization.  Note the cache keys the *configured* backend
-        name: flipping ``REPRO_KERNEL_BACKEND`` between factorize calls in
-        one process can serve a cached operator resolved under the previous
-        value (results are bit-identical either way; only which code runs
-        the sweeps differs).  ``array_backend`` is different: array backends
-        are *not* interchangeable (a CuPy operator must never serve a NumPy
-        caller), so :func:`repro.core.operator.factorize` resolves
-        ``REPRO_ARRAY_BACKEND`` into the config *before* computing this key,
-        and the resolved name keys the cache.
+        per-level budget) participate; ``tol`` and ``max_iterations`` are
+        per-call defaults that any solve can override, so differing values
+        share one cached factorization.
         """
-        return (self.method, self.inner_iterations, self.kernel_backend, self.array_backend)
+        return (self.method, self.inner_iterations)

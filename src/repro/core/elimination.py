@@ -29,8 +29,11 @@ bulk coin flips, bulk Schur-weight accumulation via ``np.add.at``), never a
 per-vertex Python loop.  The elimination *schedule* is likewise stored as
 per-round index/weight arrays (:class:`EliminationSchedule`), which
 :mod:`repro.core.transfer` compiles into sparse solve-transfer operators.
-The historical per-step ``List[Tuple]`` view survives as the deprecated
-:attr:`EliminationResult.operations` property.
+The per-step ``List[Tuple]`` view is the
+:attr:`EliminationResult.operations` property: the sequential reference
+mode builds its schedule from such a list
+(:meth:`EliminationSchedule.from_operations`), and replaying it step by step
+is the bit-identity oracle for the compiled transfers.
 
 The sequential reference mode (``parallel_degree2=False``) keeps the
 original dict-of-dicts loop; it exists as the behavioural baseline for the
@@ -202,11 +205,10 @@ class EliminationResult:
     def operations(self) -> List[Tuple]:
         """Elimination steps as ``("d1", v, u, w)`` / ``("d2", v, u1, w1, u2, w2)``.
 
-        .. deprecated::
-            The per-step tuple list is a legacy view kept for inspection and
-            round-trip tests; it is materialized lazily from
-            :attr:`schedule` and must not be replayed on hot paths — use the
-            compiled :attr:`transfer` operators instead.
+        The per-step tuple list serves inspection, round-trip tests and the
+        per-step replay oracle; it is materialized lazily from
+        :attr:`schedule` and must not be replayed on hot paths — use the
+        compiled :attr:`transfer` operators instead.
 
         Within a ``d2`` tuple the two ``(neighbor, weight)`` pairs may
         appear in either order (the vectorized rounds emit edge-array

@@ -104,7 +104,6 @@ def _run_pcg(operator, ctx, rhs: np.ndarray, tol: float, max_iterations: int) ->
         max_iterations=max_iterations,
         preconditioner=operator.chain_preconditioner("pcg", ctx),
         on_iteration=lambda cols: operator.charge_outer_iteration(ctx, cols),
-        kernels=operator.kernels,
     )
 
 
@@ -119,7 +118,6 @@ def _run_chebyshev(operator, ctx, rhs: np.ndarray, tol: float, max_iterations: i
         max_iterations=max_iterations,
         preconditioner=operator.chain_preconditioner("chebyshev", ctx),
         on_iteration=lambda cols: operator.charge_outer_iteration(ctx, cols),
-        kernels=operator.kernels,
     )
 
 
@@ -133,7 +131,6 @@ def _run_jacobi(operator, ctx, rhs: np.ndarray, tol: float, max_iterations: int)
         max_iterations=max_iterations,
         preconditioner=operator.jacobi_preconditioner(),
         on_iteration=lambda cols: operator.charge_outer_iteration(ctx, cols),
-        kernels=operator.kernels,
     )
 
 
@@ -144,23 +141,16 @@ def _run_direct(operator, ctx, rhs: np.ndarray, tol: float, max_iterations: int)
     The one-time dense factorization is charged to the operator's *setup*
     accounting inside :meth:`dense_pseudoinverse`; only the per-application
     cost lands on this solve's context.
-
-    The dense application is host math (``np.linalg``), so on a non-host
-    array backend this method round-trips through host like the bottom-level
-    LU solve does (reason ``"bottom"``) — it is a ground-truth baseline, not
-    a device hot path.
     """
-    ns = operator.kernels.array_ns
-    rhs_host = rhs if ns.is_host else ns.to_host(rhs, reason="bottom")
     pinv = operator.dense_pseudoinverse()
-    x = pinv @ rhs_host
-    k = rhs_host.shape[1]
+    x = pinv @ rhs
+    k = rhs.shape[1]
     ctx.cost.charge(work=float(pinv.shape[0]) ** 2 * k, depth=np.log2(max(pinv.shape[0], 2)))
-    b_norm = np.linalg.norm(rhs_host, axis=0)
-    residual = np.linalg.norm(operator.laplacian @ x - rhs_host, axis=0)
+    b_norm = np.linalg.norm(rhs, axis=0)
+    residual = np.linalg.norm(operator.laplacian @ x - rhs, axis=0)
     res = np.where(b_norm > 0, residual / np.where(b_norm > 0, b_norm, 1.0), 0.0)
     return BatchedCGResult(
-        x=x if ns.is_host else ns.asarray(x, reason="bottom"),
+        x=x,
         iterations=np.ones(k, dtype=np.int64),
         converged=res <= tol,
         residuals=res,

@@ -37,7 +37,6 @@ any :class:`SolveReport`, cold start or warm.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass, field
@@ -59,18 +58,10 @@ from repro.graph.laplacian import (
     laplacian_to_graph,
     sdd_to_laplacian,
 )
-import repro.kernels as _kernels_mod
-from repro.kernels import CsrOperand, KernelSet, default_kernels, get_kernels
-from repro.kernels.array_ns import (
-    ArrayNamespace,
-    get_namespace,
-    is_valid_backend_name,
-    resolve_backend_name,
-)
-from repro.kernels.array_ns import ArrayBackendError
 from repro.linalg.cg import batched_conjugate_gradient
 from repro.linalg.direct import laplacian_pseudoinverse
 from repro.linalg.jacobi import jacobi_preconditioner
+from repro.linalg.norms import column_means
 from repro.pram.model import CostModel, log2ceil
 from repro.pram.primitives import charge_elimination_transfer
 from repro.util.rng import RngLike, as_rng
@@ -202,120 +193,36 @@ class _ComponentProjector:
     of an unbuffered scatter-add.
     """
 
-    __slots__ = (
-        "labels",
-        "counts",
-        "_single",
-        "_accumulator",
-        "_kernels",
-        "_ns",
-        "_acc_operand",
-        "_labels_arr",
-        "_div_vec",
-        "_div_block",
-    )
+    __slots__ = ("labels", "counts", "_single", "_accumulator")
 
-    def __init__(self, labels: np.ndarray, kernels: Optional[KernelSet] = None) -> None:
+    def __init__(self, labels: np.ndarray) -> None:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.counts = np.bincount(self.labels).astype(float)
         self._single = self.counts.shape[0] <= 1
-        self._kernels = kernels if kernels is not None else default_kernels()
-        ns = self._kernels.array_ns
-        self._ns = ns
-        self._acc_operand = None
         if self._single:
             self._accumulator = None
-            self._labels_arr = self.labels
-            self._div_vec = self.counts
-            self._div_block = self.counts[:, None]
         else:
             n = self.labels.shape[0]
             self._accumulator = sp.csr_matrix(
                 (np.ones(n), (self.labels, np.arange(n))),
                 shape=(self.counts.shape[0], n),
             )
-            if ns.is_host:
-                self._labels_arr = self.labels
-                self._div_vec = self.counts
-                self._div_block = self.counts[:, None]
-            else:
-                # One-time device uploads: the accumulator payload, the label
-                # gather indices, and the per-component divisors — so every
-                # application stays resident in the namespace.
-                self._acc_operand = CsrOperand(self._accumulator, array_ns=ns)
-                self._labels_arr = ns.asarray(self.labels, reason="upload")
-                self._div_vec = ns.asarray(self.counts, reason="upload")
-                self._div_block = ns.asarray(self.counts[:, None], reason="upload")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        v = self._ns.ensure(v)
+        v = np.asarray(v, dtype=float)
         if self._single:
             # column_means (not v.mean) so the projection rounds identically
             # for every batch width — part of the batched == looped
             # bit-for-bit contract (see repro.linalg.norms).
             if v.ndim == 1:
                 return v - v.mean()
-            return self._kernels.subtract_column_means(v)
+            return v - column_means(v)
         # Per-component sums keep the sparse accumulator (tiny output, off
-        # the elementwise hot path); the full-length subtract dispatches.
-        if self._acc_operand is not None:
-            sums = self._kernels.csr_matvec(self._acc_operand, v)
-        else:
-            sums = self._accumulator @ v
+        # the elementwise hot path).
+        sums = self._accumulator @ v
         if v.ndim == 1:
-            return self._kernels.subtract_gathered(v, sums / self._div_vec, self._labels_arr)
-        return self._kernels.subtract_gathered(
-            v, sums / self._div_block, self._labels_arr
-        )
-
-
-class DeviceChainState:
-    """Chain state resident in a non-host array namespace.
-
-    Built exactly once, at factorize time (or by
-    :meth:`LaplacianOperator.to_backend`), for operators whose
-    ``SolverConfig.array_backend`` is not ``"numpy"``: every compiled
-    transfer schedule, per-level CSR operand, and projector constant is
-    uploaded through the namespace's ``asarray(..., reason="upload")``
-    transfer point, after which the entire preconditioner descent reads
-    device memory only.  The operator keeps its host chain untouched —
-    diagnostics (``forward_matrix``, Chebyshev calibration, the bottom LU)
-    stay host-side — and the solve path swaps in these device twins.
-    """
-
-    __slots__ = (
-        "ns",
-        "kernels",
-        "top_operand",
-        "level_operands",
-        "level_transfers",
-        "projector",
-        "level_projectors",
-    )
-
-    def __init__(self, operator: "LaplacianOperator", ns: ArrayNamespace) -> None:
-        self.ns = ns
-        self.kernels = operator.kernels
-        chain = operator.chain
-        self.top_operand = CsrOperand(operator.laplacian, array_ns=ns)
-        self.level_operands: List[CsrOperand] = [
-            CsrOperand(level.laplacian, array_ns=ns) for level in chain.levels
-        ]
-        self.level_transfers = []
-        for level in chain.levels:
-            transfers = level.transfers
-            if transfers is None and level.elimination is not None:
-                transfers = level.elimination.transfer
-            self.level_transfers.append(
-                transfers.to_namespace(ns) if transfers is not None else None
-            )
-        self.projector = _ComponentProjector(
-            operator._projector.labels, kernels=self.kernels
-        )
-        self.level_projectors: List[_ComponentProjector] = [
-            _ComponentProjector(p.labels, kernels=self.kernels)
-            for p in operator._level_projectors
-        ]
+            return v - (sums / self.counts)[self.labels]
+        return v - (sums / self.counts[:, None])[self.labels]
 
 
 class LaplacianOperator:
@@ -325,8 +232,7 @@ class LaplacianOperator:
     piece of per-solve state — null-space projectors for the top level and
     for each chain level, the top-level preconditioner entry point, and the
     Chebyshev bound slots — so :meth:`solve` allocates nothing but iterate
-    vectors (this replaces the per-call conditional lambda and the hidden
-    ``_proj_cache`` lazy-init of the deprecated ``SDDSolver``).
+    vectors.
     """
 
     def __init__(
@@ -342,7 +248,6 @@ class LaplacianOperator:
         rng: np.random.Generator,
         cost: CostModel,
         factorize_seed: Optional[int] = None,
-        chebyshev_bounds: Optional[List[Optional[Tuple[float, float]]]] = None,
     ) -> None:
         self.graph = graph
         self.chain = chain
@@ -371,50 +276,15 @@ class LaplacianOperator:
             self.laplacian = graph_to_laplacian(graph)
         self.inner_iterations = solver_config.resolve_inner_iterations(chain_config.kappa)
 
-        # Array namespace + kernel backend, resolved exactly once per
-        # operator (env overrides and availability checks happen here, not
-        # per solve) — an explicit "numba" without numba installed fails
-        # factorize() with a KernelBackendError, and so does combining
-        # "numba" with a non-host array backend.  Every hot sweep below
-        # dispatches through this kernel set; host kernel backends are
-        # bit-for-bit interchangeable.
-        self.array_ns: ArrayNamespace = get_namespace(solver_config.array_backend)
-        if self.array_ns.is_host:
-            self.kernels: KernelSet = get_kernels(solver_config.kernel_backend)
-            self._host_kernels = self.kernels
-        else:
-            # Resolved through the kernels module, not the module-level name:
-            # tests monkeypatch ``operator_mod.get_kernels`` to swap *host*
-            # kernel sets, which has no meaning for a namespace-bound set.
-            self.kernels = _kernels_mod.get_kernels(
-                solver_config.kernel_backend, array_ns=self.array_ns
-            )
-            self._host_kernels = default_kernels()
-        self._top_operand = CsrOperand(self.laplacian)
-        self._level_operands: List[CsrOperand] = [
-            CsrOperand(level.laplacian) for level in chain.levels
-        ]
-
         # Null-space projectors, hoisted into construction-time state: one
         # for the (possibly Gremban-expanded) top-level graph and one per
-        # chain level.  These are host-side (calibration, diagnostics); a
-        # non-host operator gets device twins via DeviceChainState below.
+        # chain level.
         _, labels = connected_components(graph)
-        self._projector = _ComponentProjector(labels, kernels=self._host_kernels)
+        self._projector = _ComponentProjector(labels)
         self._level_projectors: List[_ComponentProjector] = []
         for level in chain.levels:
             _, lvl_labels = connected_components(level.graph)
-            self._level_projectors.append(
-                _ComponentProjector(lvl_labels, kernels=self._host_kernels)
-            )
-
-        # Device-resident chain twins: schedule arrays, CSR operands, and
-        # projector constants uploaded once (reason "upload").  ``None`` on
-        # the host backend, where the arrays above are already where the
-        # solve runs.
-        self._device: Optional[DeviceChainState] = (
-            None if self.array_ns.is_host else DeviceChainState(self, self.array_ns)
-        )
+            self._level_projectors.append(_ComponentProjector(lvl_labels))
 
         # One-time lazy state, shared by every solve once initialized:
         # Chebyshev bounds (Lemma 6.7) — calibrated eagerly when the
@@ -425,15 +295,8 @@ class LaplacianOperator:
         # accounting lock serializes merges into the cumulative cost model.
         self._setup_lock = threading.Lock()
         self._accounting_lock = threading.Lock()
-        if chebyshev_bounds is not None:
-            # Pre-calibrated bounds (a to_backend() sibling): adopt them so
-            # the new operator never re-runs the randomized calibration —
-            # recalibrating would drift the RNG and the bounds themselves.
-            self._chebyshev_bounds = list(chebyshev_bounds)
-            self._chebyshev_ready = True
-        else:
-            self._chebyshev_bounds: List[Optional[Tuple[float, float]]] = [None] * chain.depth
-            self._chebyshev_ready = False
+        self._chebyshev_bounds: List[Optional[Tuple[float, float]]] = [None] * chain.depth
+        self._chebyshev_ready = False
         self._dense_pinv: Optional[np.ndarray] = None
         self._jacobi_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -464,17 +327,12 @@ class LaplacianOperator:
         return self.original_matrix() @ np.asarray(x, dtype=float)
 
     def top_matvec(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Matvec with the (reduced) top-level Laplacian on the solve kernels.
+        """Matvec with the (reduced) top-level Laplacian.
 
         This is what the outer iteration of every registered method applies
-        each step; dispatching it through the kernel set lets compiled
-        backends run it GIL-free.  Bit-identical to ``self.laplacian @ v``.
+        each step.
         """
-        kset = self.kernels
-        operand = (
-            self._device.top_operand if self._device is not None else self._top_operand
-        )
-        return lambda v: kset.csr_matvec(operand, v)
+        return self.laplacian.__matmul__
 
     def original_matrix(self) -> sp.spmatrix:
         """The matrix this operator solves against (pre-reduction)."""
@@ -536,7 +394,7 @@ class LaplacianOperator:
         if self._jacobi_apply is None:
             with self._setup_lock:
                 if self._jacobi_apply is None:
-                    apply = jacobi_preconditioner(self.laplacian, kernels=self.kernels)
+                    apply = jacobi_preconditioner(self.laplacian)
                     self._charge_setup(float(self.graph.n), 1.0)
                     self._jacobi_apply = apply
         return self._jacobi_apply
@@ -566,28 +424,11 @@ class LaplacianOperator:
             if self._chebyshev_ready:
                 return
             ctx = SolveContext(cost=self.cost.child())
-            ns = self.array_ns
             for i in range(self.chain.depth - 1):
                 level = self.chain.levels[i]
-                if ns.is_host:
-                    apply_m = lambda r, i=i: self._apply_preconditioner(
-                        i, r, "chebyshev", ctx
-                    )
-                else:
-                    # Calibration is host-side setup math (power iteration on
-                    # small random vectors); bridge each preconditioner
-                    # application through the namespace under the "setup"
-                    # transfer reason — it happens once per operator, off the
-                    # per-solve O(1) transfer budget.
-                    apply_m = lambda r, i=i: ns.to_host(
-                        self._apply_preconditioner(
-                            i, ns.asarray(r, reason="setup"), "chebyshev", ctx
-                        ),
-                        reason="setup",
-                    )
                 lo, hi = estimate_extreme_eigenvalues(
                     lambda v, lap=level.laplacian: lap @ v,
-                    apply_m,
+                    lambda r, i=i: self._apply_preconditioner(i, r, "chebyshev", ctx),
                     level.num_vertices,
                     seed=self._rng,
                     project=self._level_projectors[i],
@@ -608,31 +449,26 @@ class LaplacianOperator:
             work=float(max(solver.factor_nnz, solver.n)) * width,
             depth=math.log2(max(solver.n, 2)),
         )
-        return solver.solve(b, kernels=self.kernels)
+        return solver.solve(b)
 
     def _apply_preconditioner(
         self, level_index: int, r: np.ndarray, inner: str, ctx: SolveContext
     ) -> np.ndarray:
         """Approximate ``B_i^+ r`` via compiled elimination transfer + recursive solve."""
-        if self._device is None:
-            r = np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float)
         if r.ndim == 1:
             return self._apply_preconditioner(level_index, r[:, None], inner, ctx)[:, 0]
         level = self.chain.levels[level_index]
         assert level.elimination is not None
         elim = level.elimination
         # Levels built by build_chain carry precompiled transfers; fall back
-        # to the elimination's lazy compile for hand-assembled chains.  A
-        # non-host operator swaps in the device-resident schedule twin.
-        if self._device is not None:
-            transfers = self._device.level_transfers[level_index]
-        else:
-            transfers = level.transfers if level.transfers is not None else elim.transfer
+        # to the elimination's lazy compile for hand-assembled chains.
+        transfers = level.transfers if level.transfers is not None else elim.transfer
         width = r.shape[1]
         charge_elimination_transfer(ctx.cost, elim.num_eliminated, elim.rounds, width)
-        r_reduced, carry = transfers.forward(r, kernels=self.kernels)
+        r_reduced, carry = transfers.forward(r)
         x_reduced = self._solve_level(level_index + 1, r_reduced, inner, ctx)
-        x = transfers.backward(carry, x_reduced, kernels=self.kernels)
+        x = transfers.backward(carry, x_reduced)
         charge_elimination_transfer(ctx.cost, elim.num_eliminated, elim.rounds, width)
         return x
 
@@ -644,14 +480,8 @@ class LaplacianOperator:
             return self._solve_bottom(b, ctx)
         level = self.chain.levels[level_index]
         lap = level.laplacian
-        kset = self.kernels
-        if self._device is not None:
-            operand = self._device.level_operands[level_index]
-            project = self._device.level_projectors[level_index]
-        else:
-            operand = self._level_operands[level_index]
-            project = self._level_projectors[level_index]
-        apply_a = lambda v: kset.csr_matvec(operand, v)
+        project = self._level_projectors[level_index]
+        apply_a = lap.__matmul__
         b = project(b)
         preconditioner = lambda r: self._apply_preconditioner(level_index, r, inner, ctx)
         iters = self.inner_iterations
@@ -670,14 +500,12 @@ class LaplacianOperator:
                 lambda_max=hi,
                 iterations=iters,
                 project=project,
-                kernels=kset,
             )
         result = batched_conjugate_gradient(
             apply_a,
             b,
             preconditioner=preconditioner,
             fixed_iterations=iters,
-            kernels=kset,
         )
         x = result.x[:, 0] if b.ndim == 1 else result.x
         return project(x)
@@ -704,7 +532,8 @@ class LaplacianOperator:
             the range (per-component zero sum).  An empty ``(n, 0)`` batch is
             a no-op: the report carries an empty ``(n, 0)`` solution with
             ``converged=True`` and zero iterations/work, so callers slicing
-            right-hand-side blocks need no special case.
+            right-hand-side blocks need no special case.  NaN or inf
+            entries raise :class:`ValueError`.
         tol:
             Relative 2-norm residual target; defaults to the
             :class:`SolverConfig` value.  Must be positive — the same
@@ -730,6 +559,8 @@ class LaplacianOperator:
             raise ValueError("b must be a vector (n,) or a batch (n, k)")
         if b.shape[0] != self._original_n:
             raise ValueError(f"b must have length {self._original_n}")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite (found NaN or inf entries)")
         single = b.ndim == 1
         rhs_block = b[:, None] if single else b
         width = rhs_block.shape[1]
@@ -752,19 +583,9 @@ class LaplacianOperator:
             rhs = self.reduction.expand_rhs(rhs_block)
         else:
             rhs = rhs_block
-        if self._device is not None:
-            # RHS ingress — the one sanctioned host->device array transfer of
-            # a solve.  Everything until egress below stays in the namespace.
-            rhs = self.array_ns.asarray(rhs, reason="ingress")
-            rhs = self._device.projector(rhs)
-            result = spec.run(self, ctx, rhs, tol, max_iterations)
-            x = self._device.projector(result.x)
-            # Solution egress — reports are always host-side float64.
-            x = self.array_ns.to_host(x, reason="egress")
-        else:
-            rhs = self._projector(rhs)
-            result = spec.run(self, ctx, rhs, tol, max_iterations)
-            x = self._projector(result.x)
+        rhs = self._projector(rhs)
+        result = spec.run(self, ctx, rhs, tol, max_iterations)
+        x = self._projector(result.x)
 
         if self.reduction is not None and not self.reduction.trivial:
             x_out = self.reduction.restrict_solution(x)
@@ -832,52 +653,6 @@ class LaplacianOperator:
 
         return update_operator(
             self, edits, cache=cache, invalidate_cache=invalidate_cache
-        )
-
-    def to_backend(self, backend: str) -> "LaplacianOperator":
-        """Rehost this factorized operator on another array backend.
-
-        Returns an operator sharing this one's chain, Gremban reduction, and
-        configuration, with ``SolverConfig.array_backend`` replaced by
-        ``backend`` — the expensive factorization is reused; only the
-        device-resident twins (CSR operands, transfer schedules, projector
-        constants) are built for the new namespace, as one-time ``"upload"``
-        transfers.  Already-calibrated Chebyshev bounds carry over, so the
-        sibling never re-runs the randomized calibration.  ``self`` stays
-        fully usable; round-tripping ``op.to_backend(b).to_backend("numpy")``
-        yields host solves bit-identical to ``op``'s.
-
-        ``backend`` is taken literally (the ``REPRO_ARRAY_BACKEND`` override
-        applies to :func:`factorize`, not to this explicit request).  Raises
-        :class:`ValueError` for a malformed name and
-        :class:`~repro.kernels.array_ns.ArrayBackendError` when the backend
-        is unavailable (e.g. cupy without CUDA).
-        """
-        if not is_valid_backend_name(backend):
-            from repro.kernels.array_ns import ARRAY_BACKEND_NAMES
-
-            raise ValueError(
-                f"unknown array_backend {backend!r}; "
-                f"expected one of {ARRAY_BACKEND_NAMES} or 'array_api:<module>'"
-            )
-        ns = get_namespace(backend)
-        if ns.name == self.array_ns.name:
-            return self
-        solver_config = dataclasses.replace(self.solver_config, array_backend=ns.name)
-        return LaplacianOperator(
-            graph=self.graph,
-            chain=self.chain,
-            chain_config=self.chain_config,
-            solver_config=solver_config,
-            reduction=self.reduction,
-            original=self._original,
-            original_n=self._original_n,
-            rng=self._rng,
-            cost=CostModel(),
-            factorize_seed=self.factorize_seed,
-            chebyshev_bounds=(
-                list(self._chebyshev_bounds) if self._chebyshev_ready else None
-            ),
         )
 
     def _empty_report(self) -> SolveReport:
@@ -960,21 +735,6 @@ def factorize(
 
     chain_config = chain if chain is not None else ChainConfig()
     solver_config = solver if solver is not None else SolverConfig()
-
-    # Resolve the array backend (REPRO_ARRAY_BACKEND wins) into the config
-    # *before* the cache key is computed: operators of different array
-    # backends hold their chains in different memories and must never serve
-    # each other from the cache.  Availability and the numba-combination
-    # rule are checked here too, so a bad backend fails before the O(m)
-    # chain build rather than after it.
-    resolved_backend = resolve_backend_name(solver_config.array_backend)
-    if resolved_backend != solver_config.array_backend:
-        solver_config = dataclasses.replace(
-            solver_config, array_backend=resolved_backend
-        )
-    array_ns = get_namespace(resolved_backend)
-    if not array_ns.is_host:
-        _kernels_mod.get_kernels(solver_config.kernel_backend, array_ns=array_ns)
 
     key = None
     if cache and not memory_profile:

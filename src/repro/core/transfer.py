@@ -41,13 +41,12 @@ its own :class:`~repro.core.operator.SolveContext`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.elimination import EliminationResult, EliminationSchedule
-from repro.kernels import KernelSet, default_kernels
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,7 @@ class TransferOperators:
     # ------------------------------------------------------------------ #
     # application
     # ------------------------------------------------------------------ #
-    def forward(
-        self, b: np.ndarray, kernels: Optional[KernelSet] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def forward(self, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Propagate right-hand side(s) down; return ``(b_reduced, carry)``.
 
         ``carry`` is the fully-forwarded full-length array: at every
@@ -153,142 +150,73 @@ class TransferOperators:
         which is precisely what :meth:`backward` substitutes with.  Accepts
         ``(n,)`` or ``(n, k)``.
 
-        The sub-round sweeps run on ``kernels`` (:mod:`repro.kernels`;
-        reference NumPy when omitted).  Every backend replays the adds into
-        any single slot in ``np.add.at`` step order — the reference through
-        the duplicate-free layer decomposition, compiled backends as one
-        sequential GIL-free loop — so the result is bit-identical across
-        backends, batch widths, and the historical per-step replay.
+        Vectors scatter with ``np.add.at``; batched blocks replay the same
+        per-slot add order through the duplicate-free layer decomposition,
+        so the result is bit-identical across batch widths and to the
+        historical per-step replay.
         """
-        k = kernels if kernels is not None else default_kernels()
-        ns = k.array_ns
         batched = np.ndim(b) == 2
-        # Batched blocks stay column-contiguous (Fortran order): the layered
-        # reference scatters one fancy-index add per layer over every column
-        # at once, and the compiled sweep walks each contiguous column.  On
-        # the host namespace ``ns.copy`` is exactly the historical
-        # ``np.array(b, dtype=float, copy=True, order=...)``.
-        carry = ns.copy(b, order="F" if batched else "C")
+        # Batched blocks stay column-contiguous (Fortran order): each layer
+        # is one fancy-index add over every column at once.
+        carry = np.array(b, dtype=float, copy=True, order="F" if batched else "C")
         for sub in self._subrounds:
             if isinstance(sub, _Rake):
-                k.forward_rake(carry, sub.u, sub.v, sub.layers)
+                if batched:
+                    for u_layer, v_layer in sub.layers:
+                        carry[u_layer] += carry[v_layer]
+                else:
+                    np.add.at(carry, sub.u, carry[sub.v])
+            elif batched:
+                for t_layer, s_layer, c_layer in sub.layers:
+                    carry[t_layer] += c_layer[:, None] * carry[s_layer]
             else:
-                k.forward_compress(
-                    carry, sub.fwd_targets, sub.fwd_sources, sub.fwd_coeffs, sub.layers
-                )
+                np.add.at(carry, sub.fwd_targets, sub.fwd_coeffs * carry[sub.fwd_sources])
         return carry[self.kept_vertices], carry
 
-    def backward(
-        self,
-        carry: np.ndarray,
-        x_reduced: np.ndarray,
-        kernels: Optional[KernelSet] = None,
-    ) -> np.ndarray:
+    def backward(self, carry: np.ndarray, x_reduced: np.ndarray) -> np.ndarray:
         """Back-substitute eliminated vertices from a :meth:`forward` carry.
 
         Back-substitution targets (the eliminated vertices of a sub-round)
         are unique, so batched blocks vectorize straight across columns:
         every element sees the identical scalar expression a per-vector
-        sweep evaluates — on any kernel backend — keeping the result
-        bit-identical column by column.
+        sweep evaluates, keeping the result bit-identical column by column.
         """
-        k = kernels if kernels is not None else default_kernels()
-        ns = k.array_ns
-        x = ns.zeros_like(carry)
-        x[self.kept_vertices] = ns.ensure(x_reduced)
+        x = np.zeros_like(carry)
+        x[self.kept_vertices] = np.asarray(x_reduced, dtype=float)
+        batched = x.ndim == 2
         for sub in reversed(self._subrounds):
+            v = sub.v
             if isinstance(sub, _Rake):
-                k.backward_rake(x, carry, sub.v, sub.u, sub.w)
+                w = sub.w[:, None] if batched else sub.w
+                x[v] = x[sub.u] + carry[v] / w
+            elif batched:
+                x[v] = (
+                    sub.w1[:, None] * x[sub.u1] + sub.w2[:, None] * x[sub.u2] + carry[v]
+                ) / sub.total[:, None]
             else:
-                k.backward_compress(
-                    x, carry, sub.v, sub.u1, sub.u2, sub.w1, sub.w2, sub.total
-                )
+                x[v] = (sub.w1 * x[sub.u1] + sub.w2 * x[sub.u2] + carry[v]) / sub.total
         # Hand back a C-ordered block: downstream reductions (CG dot
         # products, projections) pairwise-sum by memory layout, and bitwise
         # reproducibility of historical solves requires the layout the
         # interpreted transfer produced.
-        return ns.ascontiguous(x) if x.ndim == 2 else x
+        return np.ascontiguousarray(x) if batched else x
 
     # ------------------------------------------------------------------ #
     # legacy-shaped entry points
     # ------------------------------------------------------------------ #
-    def forward_rhs(
-        self, b: np.ndarray, kernels: Optional[KernelSet] = None
-    ) -> np.ndarray:
+    def forward_rhs(self, b: np.ndarray) -> np.ndarray:
         """Reduced right-hand side(s) only (carry discarded)."""
-        return self.forward(b, kernels=kernels)[0]
+        return self.forward(b)[0]
 
-    def backward_solution(
-        self,
-        b: np.ndarray,
-        x_reduced: np.ndarray,
-        kernels: Optional[KernelSet] = None,
-    ) -> np.ndarray:
+    def backward_solution(self, b: np.ndarray, x_reduced: np.ndarray) -> np.ndarray:
         """Extend reduced solution(s) given the *original* right-hand side.
 
         Re-runs the forward sweep to rebuild the carry; prefer the
         :meth:`forward` / :meth:`backward` pair when both directions are
         needed (the solver hot path does).
         """
-        _, carry = self.forward(b, kernels=kernels)
-        return self.backward(carry, x_reduced, kernels=kernels)
-
-    # ------------------------------------------------------------------ #
-    # device residency
-    # ------------------------------------------------------------------ #
-    def to_namespace(self, ns) -> "TransferOperators":
-        """A copy with every schedule array uploaded to ``ns``.
-
-        Called once per chain level when an operator is factorized on a
-        non-host array backend (reason ``"upload"`` on the namespace's
-        transfer counter): the per-sub-round index/coefficient arrays and
-        ``kept_vertices`` become namespace arrays, so forward/backward
-        sweeps read device memory only.  The host namespace returns ``self``
-        unchanged.  Device copies serve :meth:`forward`/:meth:`backward`
-        exclusively — :meth:`forward_matrix` needs host SciPy and should be
-        called on the host instance an operator always retains.
-        """
-        if ns.is_host:
-            return self
-
-        def up(a):
-            return ns.asarray(a, reason="upload")
-
-        subrounds: List[_SubRound] = []
-        for sub in self._subrounds:
-            if isinstance(sub, _Rake):
-                subrounds.append(
-                    _Rake(
-                        v=up(sub.v),
-                        u=up(sub.u),
-                        w=up(sub.w),
-                        layers=tuple((up(u), up(v)) for u, v in sub.layers),
-                    )
-                )
-            else:
-                subrounds.append(
-                    _Compress(
-                        v=up(sub.v),
-                        u1=up(sub.u1),
-                        u2=up(sub.u2),
-                        w1=up(sub.w1),
-                        w2=up(sub.w2),
-                        total=up(sub.total),
-                        fwd_targets=up(sub.fwd_targets),
-                        fwd_sources=up(sub.fwd_sources),
-                        fwd_coeffs=up(sub.fwd_coeffs),
-                        layers=tuple(
-                            (up(t), up(s), up(c)) for t, s, c in sub.layers
-                        ),
-                    )
-                )
-        clone = TransferOperators.__new__(TransferOperators)
-        clone.n = self.n
-        clone.kept_vertices = up(self.kept_vertices)
-        clone._subrounds = subrounds
-        clone.num_steps = self.num_steps
-        clone.num_subrounds = self.num_subrounds
-        return clone
+        _, carry = self.forward(b)
+        return self.backward(carry, x_reduced)
 
     # ------------------------------------------------------------------ #
     # explicit sparse form

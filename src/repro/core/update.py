@@ -8,7 +8,7 @@ per mutation throws away almost all of the expensive chain construction.
 patches the existing factorization instead:
 
 * the **top chain level is rebuilt exactly** — mutated graph, fresh CSR
-  Laplacian, fresh null-space projectors and kernel operands — so the outer
+  Laplacian and fresh null-space projectors — so the outer
   iteration's matvec and residuals always see the true mutated system;
 * everything **below the top level is reused wholesale** (low-stretch
   subgraph, sampled edges, elimination, compiled transfers, bottom LU) as a
@@ -283,9 +283,9 @@ def update_operator(
     )
 
     # The constructor re-derives everything the patch must not keep stale:
-    # CSR kernel operands, top and per-level null-space projectors, and the
-    # Chebyshev bound slots (re-calibrated lazily — or eagerly for the
-    # chebyshev method — against the mutated top system).
+    # the top and per-level null-space projectors and the Chebyshev bound
+    # slots (re-calibrated lazily — or eagerly for the chebyshev method —
+    # against the mutated top system).
     model = CostModel()
     model.charge(
         work=float(max(new_graph.num_edges, 1)),

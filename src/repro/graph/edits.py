@@ -12,7 +12,7 @@ An edit batch is expressed against a *specific* graph's edge numbering:
 * **inserts** are new ``(u, v, w)`` edges on the existing vertex set;
 * **deletes** name edge indices of the current graph;
 * **reweights** name edge indices of the current graph plus their new
-  positive weights.
+  finite positive weights.
 
 Deletes and reweights must be disjoint and duplicate-free (an edge cannot
 be deleted twice, or deleted and reweighted in one batch) — the batch is a
@@ -29,6 +29,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
+
+from repro.graph.graph import check_edge_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
@@ -51,8 +53,7 @@ def _as_int_array(values, name: str) -> np.ndarray:
 
 def _as_weight_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values if values is not None else _EMPTY_FLOAT, dtype=np.float64).ravel()
-    if arr.size and not np.all(arr > 0):
-        raise ValueError(f"{name} must be positive")
+    check_edge_weights(arr, name)
     return arr
 
 

@@ -26,6 +26,18 @@ _INT_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
+def check_edge_weights(w: np.ndarray, name: str = "edge weights") -> None:
+    """Raise ``ValueError`` unless every weight is finite and positive.
+
+    One O(m) pass shared by every entry point that accepts weights (graph
+    construction and reweighting, edge-list ingestion, edit batches): a
+    plain ``w <= 0`` test lets NaN through, and a NaN or inf weight turns
+    every later solve into ``max_iterations`` of NaN arithmetic.
+    """
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"{name} must be finite and positive")
+
+
 class Graph:
     """An undirected weighted multigraph on vertices ``0..n-1``.
 
@@ -47,8 +59,8 @@ class Graph:
         raises :class:`~repro.util.dtypes.IndexOverflowError` when the graph
         is too large for 32-bit indexing.
     validate:
-        Skip the O(m) invariant scan (index bounds, self-loops, weight
-        positivity) when ``False``.  Internal call sites that construct
+        Skip the O(m) invariant scan (index bounds, self-loops, finite
+        positive weights) when ``False``.  Internal call sites that construct
         graphs from already-validated arrays use this to avoid redundant
         passes over million-edge arrays.
 
@@ -111,8 +123,7 @@ class Graph:
                 raise ValueError("vertex index out of range")
             if np.any(self.u == self.v):
                 raise ValueError("self-loops are not allowed")
-            if np.any(self.w <= 0):
-                raise ValueError("edge weights must be positive")
+            check_edge_weights(self.w)
         self._adj: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._fingerprint: Optional[str] = None
 
@@ -318,8 +329,7 @@ class Graph:
     def reweighted(self, w: np.ndarray) -> "Graph":
         """Copy of the graph with new edge weights ``w`` (endpoints shared)."""
         w = np.asarray(w)
-        if w.size and np.any(w <= 0):
-            raise ValueError("edge weights must be positive")
+        check_edge_weights(w)
         return Graph(self.n, self.u, self.v, w, validate=False)
 
     def _extended_index_dtype(self, new_m: int) -> np.dtype:
@@ -374,8 +384,7 @@ class Graph:
             edge_indices.min() < 0 or edge_indices.max() >= self.num_edges
         ):
             raise ValueError("edge index out of range")
-        if new_w.size and np.any(new_w <= 0):
-            raise ValueError("edge weights must be positive")
+        check_edge_weights(new_w)
         w = self.w.copy()
         w[edge_indices] = new_w.astype(self.w.dtype, copy=False)
         return Graph(self.n, self.u, self.v, w, validate=False)

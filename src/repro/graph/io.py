@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, check_edge_weights
 from repro.util.dtypes import (
     IndexOverflowError,
     index_capacity_ok,
@@ -190,8 +190,7 @@ def _validate_block(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None
         raise ValueError("vertex index out of range")
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
-    if np.any(w <= 0):
-        raise ValueError("edge weights must be positive")
+    check_edge_weights(w)
 
 
 def graph_from_edge_blocks(

@@ -32,7 +32,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.kernels import KernelSet, default_kernels
 from repro.linalg.norms import column_dot, column_norms
 from repro.linalg.operators import MatrixLike, as_operator
 
@@ -146,10 +145,7 @@ class BatchedCGResult:
     Attributes
     ----------
     x:
-        ``(n, k)`` block of approximate solutions.  A host ``ndarray`` on
-        the default backend; on a non-host array namespace this is a
-        namespace array (the caller owns the ``to_host`` egress —
-        iteration counts / convergence flags / residuals are always host).
+        ``(n, k)`` block of approximate solutions.
     iterations:
         Per-column iteration counts (iteration at which the column converged,
         or the total number of iterations run).
@@ -179,7 +175,6 @@ def batched_conjugate_gradient(
     preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     fixed_iterations: Optional[int] = None,
     on_iteration: Optional[Callable[[int], None]] = None,
-    kernels: Optional[KernelSet] = None,
 ) -> BatchedCGResult:
     """Solve ``A x_j = b_j`` for every column of ``b`` with lockstep PCG.
 
@@ -201,27 +196,15 @@ def batched_conjugate_gradient(
         Called once per iteration with the current number of active columns;
         used by the operator layer to charge PRAM work proportional to the
         arithmetic actually performed.
-    kernels:
-        :class:`~repro.kernels.KernelSet` running the per-iteration column
-        reductions and recurrence updates (reference NumPy when omitted).
-        Backends are bit-for-bit interchangeable, so iteration counts and
-        residuals do not depend on this choice.  On a non-host array
-        namespace (``kernels.array_ns``) the iterate block stays resident in
-        the namespace — ``b`` may arrive as a namespace array, ``x`` is
-        returned as one, and the only per-iteration host traffic is the
-        O(k) control pull of residual norms / breakdown flags that the
-        retirement logic needs (``ns.pull``, reason ``"control"``).
     """
-    kset = kernels if kernels is not None else default_kernels()
-    ns = kset.array_ns
     apply_a = as_operator(matrix)
-    b = ns.ensure(b)
+    b = np.asarray(b, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
     n, k = b.shape
     apply_m = preconditioner if preconditioner is not None else (lambda v: v)
 
-    x_out = ns.zeros((n, k))
+    x_out = np.zeros((n, k))
     iters_out = np.zeros(k, dtype=np.int64)
     converged_out = np.zeros(k, dtype=bool)
     residuals_out = np.zeros(k)
@@ -229,8 +212,8 @@ def batched_conjugate_gradient(
 
     # Width-invariant column reductions keep a batched solve bit-for-bit
     # identical to a loop of single solves (see repro.linalg.norms).
-    b_norm = kset.column_norms(b)
-    zero_rhs = ns.pull(b_norm == 0.0)
+    b_norm = column_norms(b)
+    zero_rhs = b_norm == 0.0
     converged_out[zero_rhs] = True
 
     check_tol = fixed_iterations is None
@@ -241,11 +224,11 @@ def batched_conjugate_gradient(
     # Compacted working set over the active columns.
     bn = b_norm[cols]
     r = b[:, cols].copy()
-    x = ns.zeros((n, cols.size))
+    x = np.zeros((n, cols.size))
     z = apply_m(r)
     p = z.copy()
-    rz = kset.column_dot(r, z)
-    res = ns.pull(kset.column_norms(r) / bn)
+    rz = column_dot(r, z)
+    res = column_norms(r) / bn
     residuals_out[cols] = res
 
     def retire(mask: np.ndarray, iteration: int, did_converge: bool) -> None:
@@ -270,8 +253,8 @@ def batched_conjugate_gradient(
             break
         active_counts.append(int(cols.size))
         ap = apply_a(p)
-        pap = kset.column_dot(p, ap)
-        broken = ns.pull(pap <= 0)  # numerical breakdown (null-space component)
+        pap = column_dot(p, ap)
+        broken = pap <= 0  # numerical breakdown (null-space component)
         if np.any(broken):
             retire(broken, it - 1, False)
             if cols.size == 0:
@@ -281,8 +264,9 @@ def batched_conjugate_gradient(
         # In-place recurrence updates (x += alpha p; r -= alpha ap) change
         # no bits relative to the historical out-of-place expressions; the
         # working arrays are compaction copies, never caller-owned.
-        kset.cg_update_solution(x, r, p, ap, alpha)
-        res = ns.pull(kset.column_norms(r) / bn)
+        x += alpha * p
+        r -= alpha * ap
+        res = column_norms(r) / bn
         if on_iteration is not None:
             on_iteration(int(cols.size))
         if check_tol:
@@ -290,13 +274,13 @@ def batched_conjugate_gradient(
             if cols.size == 0:
                 break
         z = apply_m(r)
-        rz_new = kset.column_dot(r, z)
-        xp = ns.xp
-        beta = xp.where(rz != 0, rz_new / xp.where(rz != 0, rz, 1.0), 0.0)
+        rz_new = column_dot(r, z)
+        beta = np.where(rz != 0, rz_new / np.where(rz != 0, rz, 1.0), 0.0)
         rz = rz_new
         # p = z + beta p, evaluated in place as (beta p) + z — bitwise equal
         # because IEEE-754 addition is commutative.
-        kset.cg_update_direction(p, z, beta)
+        p *= beta
+        p += z
 
     if cols.size:
         # Ran out of iterations (or fixed-iteration mode): flush the rest.

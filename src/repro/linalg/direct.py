@@ -22,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.kernels import KernelSet, default_kernels
-from repro.linalg.norms import column_means  # noqa: F401  (re-exported baseline)
+from repro.linalg.norms import column_means
 
 
 def solve_laplacian_direct(laplacian: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -91,8 +90,7 @@ class FactorizedLaplacian:
             self.factor_nnz = 0
         self._pinv: Optional[np.ndarray] = None
 
-    def _project(self, x: np.ndarray, kernels: Optional[KernelSet] = None) -> np.ndarray:
-        kset = kernels if kernels is not None else default_kernels()
+    def _project(self, x: np.ndarray) -> np.ndarray:
         labels = self._labels
         if self.n == 0:
             return x
@@ -101,44 +99,21 @@ class FactorizedLaplacian:
                 return x - x.mean()
             # Width-invariant mean: keeps batched bottom solves bit-for-bit
             # equal to single-column ones (see repro.linalg.norms).
-            return kset.subtract_column_means(x)
-        # Per-component sums stay on np.add.at (k components, off the inner
-        # loop); only the full-length gather/subtract dispatches to kernels.
+            return x - column_means(x)
         sums = np.zeros((self._counts.shape[0],) + x.shape[1:], dtype=float)
         np.add.at(sums, labels, x)
         if x.ndim == 1:
-            return kset.subtract_gathered(x, sums / self._counts, labels)
-        return kset.subtract_gathered(x, sums / self._counts[:, None], labels)
+            return x - (sums / self._counts)[labels]
+        return x - (sums / self._counts[:, None])[labels]
 
-    def solve(self, b: np.ndarray, kernels: Optional[KernelSet] = None) -> np.ndarray:
-        """Apply ``L^+`` to ``b`` (a vector ``(n,)`` or a block ``(n, k)``).
-
-        ``kernels`` runs the null-space projections (reference NumPy when
-        omitted; bit-for-bit interchangeable).  The triangular sweeps remain
-        SciPy's LU solve on every backend.
-
-        The bottom-level solve is the one *sanctioned* host boundary of a
-        non-host array backend: the (small) bottom right-hand side is
-        gathered to host (reason ``"bottom"``), LU-swept by SciPy, and the
-        solution scattered back into the namespace.  Projections then run on
-        host reference kernels — the bottom system has O(bottom-size) data,
-        not O(n), so this transfer is part of the O(1)-per-solve contract.
-        """
-        kset = kernels if kernels is not None else default_kernels()
-        ns = kset.array_ns
-        if not ns.is_host:
-            b_host = ns.to_host(b, reason="bottom")
-            x_host = self._solve_host(b_host, default_kernels())
-            return ns.asarray(x_host, reason="bottom")
-        return self._solve_host(b, kset)
-
-    def _solve_host(self, b: np.ndarray, kset: KernelSet) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Apply ``L^+`` to ``b`` (a vector ``(n,)`` or a block ``(n, k)``)."""
         b = np.asarray(b, dtype=float)
         x = np.zeros_like(b)
         if self._lu is not None:
-            rhs = self._project(b, kset)
+            rhs = self._project(b)
             x[self._keep] = self._lu.solve(rhs[self._keep])
-        return self._project(x, kset)
+        return self._project(x)
 
     def pseudoinverse(self) -> np.ndarray:
         """The explicit dense pseudo-inverse (computed lazily and cached)."""

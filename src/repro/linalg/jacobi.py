@@ -8,39 +8,30 @@ comparator.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.kernels import KernelSet, default_kernels
 
 
 def jacobi_preconditioner(
     matrix: sp.spmatrix,
     *,
     floor: float = 1e-300,
-    kernels: Optional[KernelSet] = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Return ``r -> D^{-1} r`` for the diagonal ``D`` of ``matrix``.
 
     Zero diagonal entries (isolated vertices of a Laplacian) are left
-    untouched by using an inverse of 0 for them.  The per-application
-    columnwise scale runs on ``kernels`` (reference NumPy when omitted;
-    bit-for-bit interchangeable).
+    untouched by using an inverse of 0 for them.
     """
-    kset = kernels if kernels is not None else default_kernels()
-    ns = kset.array_ns
     diag = np.asarray(sp.csr_matrix(matrix).diagonal(), dtype=float)
     inv = np.zeros_like(diag)
     mask = np.abs(diag) > floor
     inv[mask] = 1.0 / diag[mask]
-    # On a non-host namespace the inverse diagonal is uploaded exactly once,
-    # at construction (reason "setup"); applications then stay resident.
-    inv_arr = inv if ns.is_host else ns.asarray(inv, reason="setup")
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return kset.diag_scale(inv_arr, ns.ensure(r))
+        r = np.asarray(r, dtype=float)
+        return inv[:, None] * r if r.ndim == 2 else inv * r
 
     return apply
 

@@ -109,6 +109,16 @@ class _Registration:
     pinned: Optional[LaplacianOperator] = None
 
 
+def _as_single_rhs(b: np.ndarray) -> np.ndarray:
+    """Validate one submitted right-hand side: a finite ``(n,)`` vector."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError("submit() takes a single right-hand side of shape (n,)")
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite (found NaN or inf entries)")
+    return b
+
+
 class SolverService:
     """Coalesce concurrent single-RHS solve requests into batched solves.
 
@@ -383,7 +393,9 @@ class SolverService:
 
         ``matrix_or_fingerprint`` is either a fingerprint returned by
         :meth:`register` or a matrix/graph (auto-registered on first
-        sight).  ``tol`` is quantized down to its decade bucket (see
+        sight).  A right-hand side with NaN or inf entries raises
+        :class:`ValueError` here, before it can join (and poison) a
+        coalesced batch.  ``tol`` is quantized down to its decade bucket (see
         :func:`repro.serving.batcher.bucket_tol`); the request's answer is
         bit-identical to a solo ``operator.solve(b, tol=bucket,
         method=method)``.  Unfingerprintable matrices fall back to an
@@ -412,9 +424,7 @@ class SolverService:
                 self.register(matrix, warm=False)
                 reg = self._lookup_registration(fingerprint)
 
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("submit() takes a single right-hand side of shape (n,)")
+        b = _as_single_rhs(b)
         if b.shape[0] != reg.n:
             raise ValueError(f"b must have length {reg.n} (got {b.shape[0]})")
         eff_tol = bucket_tol(reg.solver_config.tol if tol is None else float(tol))
@@ -555,9 +565,7 @@ class SolverService:
     ) -> SolveReport:
         """Bypass path for unfingerprintable inputs: solo, uncached solve."""
         assert self._loop is not None and self._executor is not None
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("submit() takes a single right-hand side of shape (n,)")
+        b = _as_single_rhs(b)
         eff_tol = bucket_tol(self._solver.tol if tol is None else float(tol))
         eff_method = self._solver.method if method is None else method
         get_method(eff_method)

@@ -2,7 +2,7 @@
 
 Covers the config objects, the batched multi-RHS path (including the general
 SDD / Gremban route), the method registry, the process-level chain cache,
-the ``repro.solve`` facade, and the deprecation shims.
+and the ``repro.solve`` facade.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.chain_cache import (
 from repro.core.config import ChainConfig, SolverConfig
 from repro.core.methods import available_methods, get_method, register_method
 from repro.core.operator import LaplacianOperator, factorize
-from repro.core.solver import SDDSolver, sdd_solve
 from repro.graph import generators
 from repro.graph.laplacian import graph_to_laplacian
 from repro.linalg.direct import solve_laplacian_direct, solve_sdd_direct
@@ -130,7 +129,7 @@ class TestBatchedSolve:
         assert wide.work > single.work
 
     def test_factorize_once_charges_less_than_sequential_loop(self):
-        """Acceptance criterion: batched multi-RHS beats k x sdd_solve."""
+        """Acceptance criterion: batched multi-RHS beats k x factorize + solve."""
         g = generators.grid_2d(14, 14)
         batch = _batch(g, 6)
 
@@ -141,8 +140,7 @@ class TestBatchedSolve:
 
         cost_looped = CostModel()
         for j in range(batch.shape[1]):
-            with pytest.deprecated_call():
-                report = sdd_solve(g, batch[:, j], tol=1e-8, seed=0, cost=cost_looped)
+            report = factorize(g, seed=0, cost=cost_looped).solve(batch[:, j], tol=1e-8)
             # residuals match: same factorization seed, same per-column path
             assert abs(report.relative_residual - batched.column_residuals[j]) <= 1e-12
             np.testing.assert_allclose(report.x, batched.x[:, j], atol=1e-10)
@@ -365,78 +363,3 @@ class TestFacade:
         assert op.shape == (g.n, g.n)
         assert op.depth == op.chain.depth
         assert sp.issparse(op.original_matrix())
-
-
-class TestDeprecationShims:
-    def test_sddsolver_warns(self):
-        g = generators.grid_2d(6, 6)
-        with pytest.deprecated_call():
-            SDDSolver(g, seed=0)
-
-    def test_sdd_solve_warns(self):
-        g = generators.grid_2d(6, 6)
-        _, b = _laplacian_problem(g)
-        with pytest.deprecated_call():
-            sdd_solve(g, b, seed=0)
-
-    def test_shim_reports_identical_to_new_api(self):
-        """Fixed seed => the shim and the new API produce identical reports."""
-        g = generators.weighted_grid_2d(10, 10, seed=3, spread=100.0)
-        _, b = _laplacian_problem(g, seed=4)
-
-        op = factorize(g, seed=11)
-        new = op.solve(b, tol=1e-8)
-        with pytest.deprecated_call():
-            solver = SDDSolver(g, seed=11)
-        old = solver.solve(b, tol=1e-8)
-
-        np.testing.assert_array_equal(new.x, old.x)
-        assert new.iterations == old.iterations
-        assert new.relative_residual == old.relative_residual
-        assert new.converged == old.converged
-        assert new.work == old.work
-        assert new.depth == old.depth
-        assert new.stats == old.stats
-
-    def test_sdd_solve_shim_matches_facade_path(self):
-        g = generators.grid_2d(9, 9)
-        _, b = _laplacian_problem(g, seed=2)
-        with pytest.deprecated_call():
-            old = sdd_solve(g, b, tol=1e-8, seed=5, kappa=36.0, method="pcg")
-        new = repro.solve(
-            g, b, tol=1e-8, seed=5, chain=ChainConfig(kappa=36.0), use_cache=False
-        )
-        np.testing.assert_array_equal(new.x, old.x)
-        assert new.iterations == old.iterations
-
-    def test_shim_exposes_legacy_attributes(self):
-        g = generators.grid_2d(8, 8)
-        cost = CostModel()
-        with pytest.deprecated_call():
-            solver = SDDSolver(g, seed=0, cost=cost, kappa=36.0)
-        assert solver.cost is cost
-        assert solver.chain.depth >= 1
-        assert solver.kappa == 36.0
-        assert solver.method == "pcg"
-        assert solver.inner_iterations == 6
-        assert solver.setup_work > 0
-        assert isinstance(solver.operator, LaplacianOperator)
-
-    def test_shim_flattens_legacy_column_rhs(self):
-        """The v1 API raveled b; (n, 1) columns must keep returning (n,)."""
-        g = generators.grid_2d(8, 8)
-        _, b = _laplacian_problem(g)
-        with pytest.deprecated_call():
-            solver = SDDSolver(g, seed=0)
-        report = solver.solve(b[:, None], tol=1e-8)
-        assert report.x.shape == (g.n,)
-        with pytest.deprecated_call():
-            report2 = sdd_solve(g, b[:, None], tol=1e-8, seed=0)
-        assert report2.x.shape == (g.n,)
-
-    def test_shim_rejects_unknown_kwarg(self):
-        g = generators.grid_2d(6, 6)
-        _, b = _laplacian_problem(g)
-        with pytest.raises(TypeError):
-            with pytest.deprecated_call():
-                sdd_solve(g, b, seed=0, bogus_knob=3)

@@ -1,64 +1,44 @@
-"""Bit-for-bit equality of kernel backends (repro.kernels).
+"""Bit-for-bit batch-width invariance of the solve-path sweeps.
 
-The solver's reproducibility story rests on one contract: every kernel of
-every backend returns results *bitwise* equal to the pure-NumPy reference.
-These tests pin that contract over the fuzz corpus without requiring numba:
-``repro.kernels.numba_backend`` decorates its kernels conditionally, so when
-numba is missing the identical source runs as plain Python — the arithmetic
-and loop order under test are exactly what ``@njit`` compiles (numba's whole
-pitch is that it preserves Python/NumPy semantics; what it changes is who
-holds the GIL).  CI additionally runs the full suite with numba installed
-and ``REPRO_KERNEL_BACKEND=numba``, exercising the compiled path end to end.
-
-Also covered: backend selection (env override, "auto" fallback, the
-actionable error for an explicit "numba" without numba) and end-to-end
-factorize/solve equality across backends.
+A batched ``(n, k)`` solve must equal ``k`` single solves bit for bit.  That
+holds only if every sweep the solve runs — the elimination transfers, the
+CSR matvec, the column reductions and null-space projections, and the CG /
+Chebyshev / Jacobi recurrences — rounds each column exactly as it would
+alone.  These tests pin that property sweep by sweep, so a regression points
+at the sweep that broke it rather than at a whole solve, and close with the
+end-to-end solve (``test_property_random.py`` covers it over random seeds).
 """
 
 from __future__ import annotations
 
-import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-import repro.core.operator as operator_mod
 from repro.core.chebyshev import chebyshev_apply
 from repro.core.config import SolverConfig
 from repro.core.elimination import greedy_elimination
-from repro.core.operator import factorize
+from repro.core.operator import _ComponentProjector, factorize
 from repro.core.transfer import compile_transfers
 from repro.graph.laplacian import graph_to_laplacian
-from repro.kernels import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    CsrOperand,
-    KernelBackendError,
-    available_backends,
-    get_kernels,
-    numba_available,
-    numba_version,
-    resolve_backend,
-)
-from repro.kernels import numba_backend, reference
 from repro.linalg.cg import batched_conjugate_gradient
 from repro.linalg.jacobi import jacobi_preconditioner
+from repro.linalg.norms import column_dot, column_means, column_norms
 
-REF = reference.KERNELS
-ALT = numba_backend.build_kernels()
-
-
-def bits(*arrays: np.ndarray) -> str:
-    """Digest of the exact bytes of arrays (C-normalized) — bitwise identity."""
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
+# Reference for the transfers: the per-step op-list replay, shared with the
+# elimination benchmark (and ``test_transfer.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from benchmarks.bench_elimination import (  # noqa: E402
+    legacy_backward_solution as replay_backward,
+    legacy_forward_rhs as replay_forward,
+)
 
 
 def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
+    a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
@@ -69,36 +49,42 @@ def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("width", [None, 3])
 def test_transfers_bit_identical_across_backends(corpus_case, width):
+    """The vector scatter (``np.add.at``) and the block scatter (layered
+    fancy-index adds) are two implementations of one sweep: every column of
+    a block must match the vector path bit for bit, in both directions."""
     elim = greedy_elimination(corpus_case.graph, seed=13)
     transfers = compile_transfers(elim)
     rng = np.random.default_rng(99)
     n = corpus_case.graph.n
     b = rng.standard_normal(n) if width is None else rng.standard_normal((n, width))
+    block = b[:, None] if width is None else b
 
-    reduced_ref, carry_ref = transfers.forward(b, kernels=REF)
-    reduced_alt, carry_alt = transfers.forward(b, kernels=ALT)
-    assert_bit_equal(carry_ref, carry_alt)
-    assert_bit_equal(reduced_ref, reduced_alt)
-
-    x_reduced = rng.standard_normal(reduced_ref.shape)
-    x_ref = transfers.backward(carry_ref, x_reduced, kernels=REF)
-    x_alt = transfers.backward(carry_alt, x_reduced, kernels=ALT)
-    assert_bit_equal(x_ref, x_alt)
+    reduced, carry = transfers.forward(block)
+    x_reduced = rng.standard_normal(reduced.shape)
+    x = transfers.backward(carry, x_reduced)
+    for j in range(block.shape[1]):
+        reduced_j, carry_j = transfers.forward(np.ascontiguousarray(block[:, j]))
+        assert_bit_equal(carry[:, j], carry_j)
+        assert_bit_equal(reduced[:, j], reduced_j)
+        assert_bit_equal(x[:, j], transfers.backward(carry_j, x_reduced[:, j]))
 
 
 def test_transfers_default_kernels_match_explicit_reference(corpus_case):
+    """Compiled block transfers equal the per-step op-list replay per column."""
     elim = greedy_elimination(corpus_case.graph, seed=5)
     transfers = compile_transfers(elim)
     rng = np.random.default_rng(7)
     b = rng.standard_normal((corpus_case.graph.n, 2))
-    reduced_default, carry_default = transfers.forward(b)
-    reduced_ref, carry_ref = transfers.forward(b, kernels=REF)
-    assert_bit_equal(carry_default, carry_ref)
-    assert_bit_equal(reduced_default, reduced_ref)
+    reduced, carry = transfers.forward(b)
+    x_reduced = rng.standard_normal(reduced.shape)
+    x = transfers.backward(carry, x_reduced)
+    for j in range(b.shape[1]):
+        assert_bit_equal(reduced[:, j], replay_forward(elim, b[:, j]))
+        assert_bit_equal(x[:, j], replay_backward(elim, b[:, j], x_reduced[:, j]))
 
 
 # --------------------------------------------------------------------------- #
-# column reductions: NumPy's pairwise summation tree, exactly
+# column reductions: NumPy's pairwise summation tree, per column
 # --------------------------------------------------------------------------- #
 # Boundary lengths of the pairwise recursion: the <8 sequential tail, the
 # 8-accumulator block at <=128, and the recursive split beyond it.
@@ -107,26 +93,35 @@ PAIRWISE_LENGTHS = [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_column_reductions_match_numpy_pairwise(order):
+    """Each column reduces exactly like ``np.add.reduce`` on that column alone."""
     rng = np.random.default_rng(3)
     for n in PAIRWISE_LENGTHS:
         a = np.asarray(rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-6, 6, (n, 4)), order=order)
         b = np.asarray(rng.standard_normal((n, 4)), order=order)
-        assert_bit_equal(REF.column_dot(a, b), ALT.column_dot(a, b))
-        assert_bit_equal(REF.column_norms(a), ALT.column_norms(a))
-        assert_bit_equal(REF.column_means(a), ALT.column_means(a))
-        assert_bit_equal(REF.subtract_column_means(a), ALT.subtract_column_means(a))
+        dots, norms, means = column_dot(a, b), column_norms(a), column_means(a)
+        for j in range(a.shape[1]):
+            col_a = np.ascontiguousarray(a[:, j])
+            col_b = np.ascontiguousarray(b[:, j])
+            assert dots[j] == np.add.reduce(col_a * col_b)
+            assert norms[j] == np.sqrt(np.add.reduce(col_a * col_a))
+            assert means[j] == np.add.reduce(col_a) / n
+            assert_bit_equal(column_dot(a[:, j : j + 1], b[:, j : j + 1]), dots[j : j + 1])
 
 
 def test_subtract_gathered_matches_reference():
+    """Per-component mean removal: matches the definition, width-invariant."""
     rng = np.random.default_rng(21)
     n, k, comps = 97, 3, 5
-    labels = rng.integers(0, comps, n)
-    scaled = rng.standard_normal((comps, k))
+    labels = rng.permutation(np.arange(n) % comps)
+    project = _ComponentProjector(labels)
     v = rng.standard_normal((n, k))
-    assert_bit_equal(REF.subtract_gathered(v, scaled, labels), ALT.subtract_gathered(v, scaled, labels))
-    v1 = rng.standard_normal(n)
-    s1 = rng.standard_normal(comps)
-    assert_bit_equal(REF.subtract_gathered(v1, s1, labels), ALT.subtract_gathered(v1, s1, labels))
+    out = project(v)
+    expected = v.copy()
+    for c in range(comps):
+        expected[labels == c] -= v[labels == c].mean(axis=0)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+    for j in range(k):
+        assert_bit_equal(out[:, j], project(v[:, j]))
 
 
 # --------------------------------------------------------------------------- #
@@ -134,120 +129,89 @@ def test_subtract_gathered_matches_reference():
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("width", [None, 1, 5])
 def test_csr_matvec_bit_identical(edged_corpus_case, width):
+    """Block matvecs equal per-column matvecs bitwise, in either memory order."""
     lap = graph_to_laplacian(edged_corpus_case.graph)
-    operand = CsrOperand(lap)
     rng = np.random.default_rng(17)
     n = lap.shape[0]
-    x = rng.standard_normal(n) if width is None else rng.standard_normal((n, width))
-    assert_bit_equal(REF.csr_matvec(operand, x), ALT.csr_matvec(operand, x))
-    if width is not None:
-        xf = np.asfortranarray(x)
-        assert_bit_equal(REF.csr_matvec(operand, xf), ALT.csr_matvec(operand, xf))
+    if width is None:
+        x = rng.standard_normal(n)
+        assert_bit_equal(lap @ x, (lap @ x[:, None])[:, 0])
+        return
+    x = rng.standard_normal((n, width))
+    y = lap @ x
+    assert_bit_equal(y, lap @ np.asfortranarray(x))
+    for j in range(width):
+        assert_bit_equal(y[:, j], lap @ np.ascontiguousarray(x[:, j]))
 
 
 # --------------------------------------------------------------------------- #
 # iterative recurrences: batched CG, Chebyshev, Jacobi
 # --------------------------------------------------------------------------- #
 def _spd_system(seed: int = 2):
-    """A well-conditioned SPD system (Laplacian + I) plus random rhs block."""
-    import scipy.sparse as sp
-
+    """A well-conditioned SPD system (Laplacian + I) plus an RNG for rhs."""
     from repro.testing import fuzz_corpus
 
     g = next(c for c in fuzz_corpus(seed=0) if c.name == "wgrid_5x6").graph
     lap = graph_to_laplacian(g)
     mat = (lap + sp.identity(lap.shape[0], format="csr")).tocsr()
-    rng = np.random.default_rng(seed)
-    return mat, rng
+    return mat, np.random.default_rng(seed)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_batched_cg_bit_identical(k):
     mat, rng = _spd_system()
     b = rng.standard_normal((mat.shape[0], k))
-    operand = CsrOperand(mat)
-
-    runs = {}
-    for name, kset in (("ref", REF), ("alt", ALT)):
-        res = batched_conjugate_gradient(
-            lambda v: kset.csr_matvec(operand, v),
-            b,
-            tol=1e-10,
-            max_iterations=300,
-            kernels=kset,
-        )
-        runs[name] = bits(res.x, res.iterations, res.residuals, res.converged)
-        assert res.converged.all()
-    assert runs["ref"] == runs["alt"]
+    res = batched_conjugate_gradient(mat.__matmul__, b, tol=1e-10, max_iterations=300)
+    assert res.converged.all()
+    for j in range(k):
+        col = batched_conjugate_gradient(mat.__matmul__, b[:, j], tol=1e-10, max_iterations=300)
+        assert_bit_equal(res.x[:, j], col.x[:, 0])
+        assert res.iterations[j] == col.iterations[0]
+        assert res.residuals[j] == col.residuals[0]
 
 
 def test_batched_cg_fixed_iterations_bit_identical():
     mat, rng = _spd_system(seed=9)
     b = rng.standard_normal((mat.shape[0], 4))
-    operand = CsrOperand(mat)
-    out = []
-    for kset in (REF, ALT):
-        res = batched_conjugate_gradient(
-            lambda v: kset.csr_matvec(operand, v), b, fixed_iterations=11, kernels=kset
-        )
-        out.append(bits(res.x, res.residuals))
-    assert out[0] == out[1]
+    res = batched_conjugate_gradient(mat.__matmul__, b, fixed_iterations=11)
+    for j in range(b.shape[1]):
+        col = batched_conjugate_gradient(mat.__matmul__, b[:, j], fixed_iterations=11)
+        assert_bit_equal(res.x[:, j], col.x[:, 0])
+        assert res.residuals[j] == col.residuals[0]
 
 
 def test_chebyshev_apply_bit_identical():
     mat, rng = _spd_system(seed=4)
     b = rng.standard_normal((mat.shape[0], 3))
-    operand = CsrOperand(mat)
-    jac = {kset: jacobi_preconditioner(mat, kernels=kset) for kset in (REF, ALT)}
-    out = []
-    for kset in (REF, ALT):
-        x = chebyshev_apply(
-            lambda v: kset.csr_matvec(operand, v),
-            jac[kset],
-            b,
-            lambda_min=0.05,
-            lambda_max=2.5,
-            iterations=13,
-            kernels=kset,
+    jac = jacobi_preconditioner(mat)
+
+    def run(rhs):
+        return chebyshev_apply(
+            mat.__matmul__, jac, rhs, lambda_min=0.05, lambda_max=2.5, iterations=13
         )
-        out.append(bits(x))
-    assert out[0] == out[1]
-    x_vec = chebyshev_apply(
-        lambda v: ALT.csr_matvec(operand, v),
-        jac[ALT],
-        b[:, 0],
-        lambda_min=0.05,
-        lambda_max=2.5,
-        iterations=13,
-        kernels=ALT,
-    )
-    x_ref = chebyshev_apply(
-        lambda v: REF.csr_matvec(operand, v),
-        jac[REF],
-        b[:, 0],
-        lambda_min=0.05,
-        lambda_max=2.5,
-        iterations=13,
-        kernels=REF,
-    )
-    assert_bit_equal(x_ref, x_vec)
+
+    x = run(b)
+    for j in range(b.shape[1]):
+        assert_bit_equal(x[:, j], run(b[:, j]))
 
 
 def test_jacobi_diag_scale_bit_identical():
     mat, rng = _spd_system(seed=6)
     r = rng.standard_normal((mat.shape[0], 4))
-    assert_bit_equal(jacobi_preconditioner(mat, kernels=REF)(r), jacobi_preconditioner(mat, kernels=ALT)(r))
-    assert_bit_equal(
-        jacobi_preconditioner(mat, kernels=REF)(r[:, 0]),
-        jacobi_preconditioner(mat, kernels=ALT)(r[:, 0]),
-    )
+    apply = jacobi_preconditioner(mat)
+    z = apply(r)
+    assert_bit_equal(z, (1.0 / mat.diagonal())[:, None] * r)
+    for j in range(r.shape[1]):
+        assert_bit_equal(z[:, j], apply(r[:, j]))
 
 
 # --------------------------------------------------------------------------- #
-# end to end: factorize + solve on the alternate backend
+# end to end: factorize + solve, block against its columns
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("method", ["pcg", "chebyshev"])
-def test_solve_bit_identical_across_backends(monkeypatch, method):
+def test_solve_bit_identical_across_backends(method):
+    """A block solve equals per-column solves on an independently factorized
+    operator, and PRAM charging is a deterministic function of the call."""
     from repro.testing import fuzz_corpus
 
     case = next(c for c in fuzz_corpus(seed=0) if c.name == "disconnected_grids")
@@ -255,99 +219,17 @@ def test_solve_bit_identical_across_backends(monkeypatch, method):
     b = rng.standard_normal((case.graph.n, 3))
     b -= b.mean(axis=0)
 
-    def run():
-        op = factorize(case.graph, solver=SolverConfig(method=method), seed=8)
-        rep = op.solve(b, tol=1e-8)
-        return bits(rep.x, np.asarray(rep.column_iterations), np.asarray(rep.column_residuals)), rep
+    def operator():
+        return factorize(case.graph, solver=SolverConfig(method=method), seed=8)
 
-    ref_digest, ref_rep = run()
-    monkeypatch.setattr(operator_mod, "get_kernels", lambda backend=None: ALT)
-    alt_digest, alt_rep = run()
-    assert ref_digest == alt_digest
-    assert ref_rep.iterations == alt_rep.iterations
-    # PRAM accounting is backend-invariant: charging happens at call sites.
-    assert ref_rep.work == alt_rep.work and ref_rep.depth == alt_rep.depth
-
-
-# --------------------------------------------------------------------------- #
-# backend selection
-# --------------------------------------------------------------------------- #
-def test_backend_names_and_availability(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert BACKEND_NAMES == ("auto", "numpy", "numba")
-    concrete = available_backends()
-    assert "numpy" in concrete and "auto" not in concrete
-    assert ("numba" in concrete) == numba_available()
-    assert (numba_version() is not None) == numba_available()
-
-
-def test_resolve_backend_auto_and_explicit(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert resolve_backend("numpy") == "numpy"
-    expected_auto = "numba" if numba_available() else "numpy"
-    assert resolve_backend("auto") == expected_auto
-    assert resolve_backend(None) == expected_auto
-    if numba_available():
-        assert resolve_backend("numba") == "numba"
-    else:
-        with pytest.raises(KernelBackendError, match="numba is not installed"):
-            resolve_backend("numba")
-
-
-def test_env_var_overrides_configured_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert resolve_backend("auto") == "numpy"
-    if numba_available():
-        # Even an explicit numba request defers to the env override.
-        assert resolve_backend("numba") == "numpy"
-    assert get_kernels("auto") is REF
-
-
-def test_unknown_backend_names_error(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    with pytest.raises(KernelBackendError, match="unknown kernel backend"):
-        resolve_backend("fortran")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-    with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
-        resolve_backend("numpy")
-    with pytest.raises(ValueError, match="kernel_backend"):
-        SolverConfig(kernel_backend="fortran")
-
-
-def _forced_nonhost_array_backend() -> bool:
-    """Whether REPRO_ARRAY_BACKEND forces a non-host namespace on this run."""
-    from repro.kernels.array_ns import get_namespace, resolve_backend_name
-
-    return not get_namespace(resolve_backend_name(None)).is_host
-
-
-def test_factorize_surfaces_missing_numba(monkeypatch, grid_graph):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    if numba_available():
-        pytest.skip("numba installed; the missing-backend error is unreachable")
-    if _forced_nonhost_array_backend():
-        # Non-host array lane: the combination rule fires first (it does not
-        # depend on whether numba is installed).
-        with pytest.raises(
-            KernelBackendError, match="supports only array_backend='numpy'"
-        ):
-            factorize(grid_graph, solver=SolverConfig(kernel_backend="numba"), seed=0)
-        return
-    with pytest.raises(KernelBackendError, match="repro-sdd-solver\\[kernels\\]"):
-        factorize(grid_graph, solver=SolverConfig(kernel_backend="numba"), seed=0)
-
-
-def test_factorize_auto_falls_back_silently(monkeypatch, grid_graph):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    op = factorize(grid_graph, solver=SolverConfig(kernel_backend="auto"), seed=0)
-    assert op.kernels.name in ("numpy", "numba")
-    if not numba_available() and not _forced_nonhost_array_backend():
-        assert op.kernels is REF
-
-
-def test_alt_backend_reports_jit_status():
-    assert ALT.name == "numba"
-    assert ALT.jit == numba_available()
-    if not numba_available():
-        with pytest.raises(KernelBackendError):
-            numba_backend.load()
+    block = operator().solve(b, tol=1e-8)
+    other = operator()
+    for j in range(b.shape[1]):
+        col = other.solve(np.ascontiguousarray(b[:, j]), tol=1e-8)
+        assert_bit_equal(block.x[:, j], col.x)
+        assert block.column_iterations[j] == col.iterations
+        assert block.column_residuals[j] == col.relative_residual
+    again = other.solve(b, tol=1e-8)
+    assert_bit_equal(block.x, again.x)
+    assert block.iterations == again.iterations
+    assert block.work == again.work and block.depth == again.depth

@@ -1,9 +1,9 @@
 """End-to-end tests for the SDD solver (Theorem 1.1).
 
-These tests intentionally drive the deprecated ``SDDSolver`` / ``sdd_solve``
-shims: they pin down that the legacy surface keeps working (and keeps its
-accuracy guarantees) while it forwards to the factorize-once API.  New-API
-coverage lives in ``test_api.py``.
+Accuracy, input handling, and cost-scaling checks driven through the public
+entry points: ``repro.factorize(...).solve`` and the one-call
+``repro.solve`` (with the chain cache off, so every call factorizes).
+Lifecycle, batching, and cache coverage lives in ``test_api.py``.
 """
 
 from __future__ import annotations
@@ -12,14 +12,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-from repro.core.solver import SDDSolver, sdd_solve
+import repro
+from repro.core.config import ChainConfig, SolverConfig
 from repro.graph import generators
 from repro.graph.laplacian import graph_to_laplacian
 from repro.linalg.direct import solve_laplacian_direct, solve_sdd_direct
 from repro.linalg.norms import relative_a_norm_error
 from repro.pram.model import CostModel
+
+
+def _solve(matrix, b, *, tol, seed, **chain_kwargs):
+    """Factorize ``matrix`` and solve once (no chain cache)."""
+    return repro.solve(
+        matrix, b, tol=tol, seed=seed, chain=ChainConfig(**chain_kwargs), use_cache=False
+    )
 
 
 def _laplacian_problem(graph, seed=0):
@@ -44,7 +50,7 @@ class TestLaplacianSolves:
         """||x - A^+ b||_A <= eps ||A^+ b||_A for the requested tolerance."""
         g = graph_factory()
         lap, b, x_exact = _laplacian_problem(g)
-        report = sdd_solve(g, b, tol=1e-8, seed=0)
+        report = _solve(g, b, tol=1e-8, seed=0)
         assert report.converged
         err = relative_a_norm_error(lap, report.x - report.x.mean(), x_exact)
         assert err <= 1e-5
@@ -52,9 +58,9 @@ class TestLaplacianSolves:
     def test_tighter_tolerance_gives_smaller_error(self):
         g = generators.grid_2d(14, 14)
         lap, b, x_exact = _laplacian_problem(g)
-        solver = SDDSolver(g, seed=0)
-        loose = solver.solve(b, tol=1e-3)
-        tight = solver.solve(b, tol=1e-10)
+        op = repro.factorize(g, seed=0)
+        loose = op.solve(b, tol=1e-3)
+        tight = op.solve(b, tol=1e-10)
         err_loose = relative_a_norm_error(lap, loose.x - loose.x.mean(), x_exact)
         err_tight = relative_a_norm_error(lap, tight.x - tight.x.mean(), x_exact)
         assert err_tight <= err_loose
@@ -62,26 +68,26 @@ class TestLaplacianSolves:
     def test_solver_reusable_for_multiple_rhs(self):
         g = generators.grid_2d(12, 12)
         lap = graph_to_laplacian(g)
-        solver = SDDSolver(g, seed=0)
+        op = repro.factorize(g, seed=0)
         rng = np.random.default_rng(5)
         for _ in range(3):
             b = rng.standard_normal(g.n)
             b -= b.mean()
-            report = solver.solve(b, tol=1e-8)
+            report = op.solve(b, tol=1e-8)
             x_exact = solve_laplacian_direct(lap, b)
             assert relative_a_norm_error(lap, report.x - report.x.mean(), x_exact) <= 1e-5
 
     def test_chebyshev_method(self):
         g = generators.grid_2d(14, 14)
         lap, b, x_exact = _laplacian_problem(g)
-        report = sdd_solve(g, b, tol=1e-8, seed=0, method="chebyshev")
+        report = repro.solve(g, b, tol=1e-8, seed=0, method="chebyshev", use_cache=False)
         assert report.converged
         assert relative_a_norm_error(lap, report.x - report.x.mean(), x_exact) <= 1e-5
 
     def test_laplacian_matrix_input(self):
         g = generators.grid_2d(10, 10)
         lap, b, x_exact = _laplacian_problem(g)
-        report = sdd_solve(lap, b, tol=1e-8, seed=0)
+        report = _solve(lap, b, tol=1e-8, seed=0)
         assert relative_a_norm_error(lap, report.x - report.x.mean(), x_exact) <= 1e-5
 
     def test_disconnected_graph(self):
@@ -95,15 +101,15 @@ class TestLaplacianSolves:
         # make b consistent per component
         b[:4] -= b[:4].mean()
         b[4:] -= b[4:].mean()
-        report = sdd_solve(g, b, tol=1e-9, seed=0)
+        report = _solve(g, b, tol=1e-9, seed=0)
         assert np.linalg.norm(lap @ report.x - b) <= 1e-6 * np.linalg.norm(b)
 
     def test_report_contents(self):
         g = generators.grid_2d(10, 10)
         _, b, _ = _laplacian_problem(g)
         cost = CostModel()
-        solver = SDDSolver(g, seed=0, cost=cost)
-        report = solver.solve(b, tol=1e-6)
+        op = repro.factorize(g, seed=0, cost=cost)
+        report = op.solve(b, tol=1e-6)
         assert report.iterations > 0
         assert report.work > 0
         assert report.depth > 0
@@ -112,7 +118,7 @@ class TestLaplacianSolves:
     def test_tree_only_ablation_converges(self):
         g = generators.grid_2d(12, 12)
         lap, b, x_exact = _laplacian_problem(g)
-        report = sdd_solve(g, b, tol=1e-8, seed=0, use_tree_only=True)
+        report = _solve(g, b, tol=1e-8, seed=0, use_tree_only=True)
         assert relative_a_norm_error(lap, report.x - report.x.mean(), x_exact) <= 1e-5
 
 
@@ -121,7 +127,7 @@ class TestSDDInputs:
     def test_general_sdd_system(self, seed):
         mat, b = generators.weighted_sdd_system(60, 150, seed=seed)
         x_exact = solve_sdd_direct(mat, b)
-        report = sdd_solve(mat, b, tol=1e-9, seed=seed)
+        report = _solve(mat, b, tol=1e-9, seed=seed)
         assert np.linalg.norm(report.x - x_exact) <= 1e-4 * np.linalg.norm(x_exact)
 
     def test_sdd_with_diagonal_excess_only(self):
@@ -131,24 +137,24 @@ class TestSDDInputs:
         mat = sp.csr_matrix(lap)
         b = np.random.default_rng(1).standard_normal(64)
         x_exact = solve_sdd_direct(mat, b)
-        report = sdd_solve(mat, b, tol=1e-9, seed=0)
+        report = _solve(mat, b, tol=1e-9, seed=0)
         assert np.linalg.norm(report.x - x_exact) <= 1e-4 * np.linalg.norm(x_exact)
 
     def test_rejects_non_sdd(self):
         mat = sp.csr_matrix(np.array([[1.0, -5.0], [-5.0, 1.0]]))
         with pytest.raises(ValueError):
-            SDDSolver(mat)
+            repro.factorize(mat)
 
     def test_rejects_bad_rhs_length(self):
         g = generators.grid_2d(6, 6)
-        solver = SDDSolver(g, seed=0)
+        op = repro.factorize(g, seed=0)
         with pytest.raises(ValueError):
-            solver.solve(np.ones(5))
+            op.solve(np.ones(5))
 
     def test_rejects_unknown_method(self):
         g = generators.grid_2d(6, 6)
         with pytest.raises(ValueError):
-            SDDSolver(g, method="bogus")
+            repro.factorize(g, solver=SolverConfig(method="bogus"))
 
 
 class TestScalingBehaviour:
@@ -164,10 +170,10 @@ class TestScalingBehaviour:
         for size in (12, 24):
             g = generators.grid_2d(size, size)
             cost = CostModel()
-            solver = SDDSolver(g, seed=0, cost=cost)
+            op = repro.factorize(g, seed=0, cost=cost)
             b = np.random.default_rng(0).standard_normal(g.n)
             b -= b.mean()
-            solver.solve(b, tol=1e-6)
+            op.solve(b, tol=1e-6)
             ratios.append(cost.work / float(g.n) ** 3)
         assert ratios[1] < ratios[0]
         assert ratios[1] < 0.2
@@ -175,8 +181,8 @@ class TestScalingBehaviour:
     def test_depth_much_smaller_than_work(self):
         g = generators.grid_2d(20, 20)
         cost = CostModel()
-        solver = SDDSolver(g, seed=0, cost=cost)
+        op = repro.factorize(g, seed=0, cost=cost)
         b = np.random.default_rng(0).standard_normal(g.n)
         b -= b.mean()
-        report = solver.solve(b, tol=1e-6)
+        report = op.solve(b, tol=1e-6)
         assert report.depth < report.work / 10.0
