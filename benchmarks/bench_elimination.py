@@ -101,6 +101,29 @@ def legacy_backward_solution(
     return x
 
 
+def max_relative_error(reference: np.ndarray, value: np.ndarray) -> float:
+    """``max|value - reference| / max|reference|`` (the absolute error if ``reference == 0``)."""
+    reference = np.asarray(reference, dtype=float)
+    err = float(np.max(np.abs(np.asarray(value, dtype=float) - reference), initial=0.0))
+    scale = float(np.max(np.abs(reference), initial=0.0))
+    return err / scale if scale > 0.0 else err
+
+
+#: Agreement the compiled transfers must hold against the per-step replay.
+REPLAY_RTOL = 1e-12
+
+
+def replay_error(elim: EliminationResult, transfers, b: np.ndarray, x_red: np.ndarray) -> float:
+    """Max relative error of the compiled transfer pair against the replay."""
+    return max(
+        max_relative_error(legacy_forward_rhs(elim, b), transfers.forward_rhs(b)),
+        max_relative_error(
+            legacy_backward_solution(elim, b, x_red),
+            transfers.backward_solution(b, x_red),
+        ),
+    )
+
+
 def _time(fn, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
@@ -162,7 +185,7 @@ class TestE6GreedyElimination:
             assert r.measured["rounds"] <= 10 * r.measured["log_n"]
 
     def test_compiled_transfer_throughput(self, benchmark):
-        """Compiled transfers beat the op-list replay and match it bitwise."""
+        """Compiled transfers beat the op-list replay and agree with it to 1e-12."""
 
         def run():
             g = _tree_plus_extras(4000, 60, seed=1, weighted=True)
@@ -182,11 +205,7 @@ class TestE6GreedyElimination:
 
             t_legacy = _time(legacy_pair, 3)
             t_compiled = _time(compiled_pair, 10)
-            assert np.array_equal(legacy_forward_rhs(elim, b), transfers.forward_rhs(b))
-            assert np.array_equal(
-                legacy_backward_solution(elim, b, x_red),
-                transfers.backward_solution(b, x_red),
-            )
+            assert replay_error(elim, transfers, b, x_red) <= REPLAY_RTOL
             return [
                 ExperimentRow(
                     "E6",
@@ -232,13 +251,10 @@ def collect_payload(
     batch = rng.standard_normal((g.n, batch_width))
     x_red_batch = rng.standard_normal((elim.reduced_graph.n, batch_width))
 
-    # Correctness first: the compiled operators must match the replay
-    # bit-for-bit, else the timings below compare different algorithms.
-    assert np.array_equal(legacy_forward_rhs(elim, b), transfers.forward_rhs(b))
-    assert np.array_equal(
-        legacy_backward_solution(elim, b, x_red),
-        transfers.backward_solution(b, x_red),
-    )
+    # Correctness first: the compiled operators must agree with the replay
+    # to rounding, else the timings below compare different algorithms.
+    replay_rel_error = replay_error(elim, transfers, b, x_red)
+    assert replay_rel_error <= REPLAY_RTOL, replay_rel_error
 
     t_legacy = _time(
         lambda: (legacy_forward_rhs(elim, b), legacy_backward_solution(elim, b, x_red)),
@@ -267,7 +283,7 @@ def collect_payload(
     e = max(elim.num_eliminated, 1)
     return {
         "experiment": "E6",
-        "schema_version": 1,
+        "schema_version": 2,
         "workload": {
             "kind": "tree_plus_extras",
             "n": n,
@@ -287,6 +303,7 @@ def collect_payload(
             "legacy_pair_seconds": t_legacy,
             "compiled_pair_seconds": t_compiled,
             "speedup": t_legacy / t_compiled,
+            "replay_max_rel_error": replay_rel_error,
             "legacy_us_per_op": t_legacy / e * 1e6,
             "compiled_us_per_op": t_compiled / e * 1e6,
         },

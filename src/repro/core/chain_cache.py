@@ -267,7 +267,7 @@ def estimate_operator_bytes(operator) -> int:
     """Estimated resident bytes of a factorized operator's array state.
 
     Sums the ``nbytes`` of every distinct ndarray reachable from the
-    operator — the chain's CSR Laplacians, the compiled transfer layers,
+    operator — the chain's CSR Laplacians, the compiled transfer factors,
     the bottom-level factor, the graph edge arrays, and the null-space
     projectors.  An estimate (Python object overhead is ignored), but it
     tracks the quantities that actually dominate: the per-level sparse

@@ -28,12 +28,13 @@ passes over the current edge arrays (bulk degree counts via ``bincount``,
 bulk coin flips, bulk Schur-weight accumulation via ``np.add.at``), never a
 per-vertex Python loop.  The elimination *schedule* is likewise stored as
 per-round index/weight arrays (:class:`EliminationSchedule`), which
-:mod:`repro.core.transfer` compiles into sparse solve-transfer operators.
-The per-step ``List[Tuple]`` view is the
+:mod:`repro.core.transfer` compiles into the partial-Cholesky factor applied
+at solve time.  The per-step ``List[Tuple]`` view is the
 :attr:`EliminationResult.operations` property: the sequential reference
 mode builds its schedule from such a list
 (:meth:`EliminationSchedule.from_operations`), and replaying it step by step
-is the bit-identity oracle for the compiled transfers.
+is the oracle the compiled transfers must agree with (to a max relative
+error of 1e-12).
 
 The sequential reference mode (``parallel_degree2=False``) keeps the
 original dict-of-dicts loop; it exists as the behavioural baseline for the
@@ -73,10 +74,11 @@ class EliminationSchedule:
     * degree-2 step: neighbors ``nbr1[i], nbr2[i]`` with weights
       ``w1[i], w2[i]``.
 
-    Within a sub-round every step's *kind* is uniform and no step's
-    neighbors include a vertex eliminated in the same sub-round, so a
-    sub-round is a legal unit of parallel (vectorized) application — this is
-    the invariant :func:`repro.core.transfer.compile_transfers` relies on.
+    Within a sub-round every step's *kind* is uniform, and every step's
+    neighbors are kept or eliminated in a *later* sub-round, so a sub-round
+    is a legal unit of parallel application.  The latter makes the one-step
+    scatter matrix nilpotent, which :func:`repro.core.transfer.compile_transfers`
+    checks (raising ``ValueError``) before it inverts ``I − S``.
     """
 
     n: int

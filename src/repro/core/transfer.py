@@ -1,47 +1,47 @@
 """Compiled solve transfers for greedy elimination (the chain hot path).
 
-At solve time every application of the chain preconditioner must move a
-right-hand side down to the Schur-complement system (*forward*) and extend
-the reduced solution back up (*backward*).  Interpreting the elimination
-schedule one step at a time costs a Python-level loop per CG iteration per
-chain level; this module *compiles* the schedule
-(:class:`~repro.core.elimination.EliminationSchedule`) once, into array-form
-operators applied as one bulk scatter/gather sweep per elimination
-sub-round:
+Greedy elimination (Lemma 6.5) is a partial Cholesky factorization,
+``B_i = L · diag(D, A_{i+1}) · Lᵀ``.  At solve time every application of the
+chain preconditioner must move a right-hand side down to the
+Schur-complement system (*forward*) and extend the reduced solution back up
+(*backward*).  This module compiles the elimination schedule
+(:class:`~repro.core.elimination.EliminationSchedule`) once into that
+factor, so each direction is one sparse product instead of a replay of the
+schedule:
 
-* **forward** — for each sub-round in order, ``b[targets] += coeff *
-  b[sources]`` as a single fused scatter-add (the sources are the vertices
-  eliminated in that sub-round; their entries are final from then on).  The
-  fully-propagated vector doubles as the back-substitution *carry*: entry
-  ``v`` of it is exactly the forwarded value ``b_v`` at ``v``'s elimination
-  time.
-* **backward** — sub-rounds in reverse; each is one vectorized
-  back-substitution assignment ``x[v] = (w1 x[u1] + w2 x[u2] + carry[v]) /
-  (w1 + w2)`` (degree-2) or ``x[v] = x[u] + carry[v] / w`` (degree-1).
+* Eliminating ``v`` scatters its forwarded value onto its neighbors:
+  ``b_u += b_v`` (rake) or ``b_{u_i} += w_i / (w_1 + w_2) · b_v``
+  (compress).  Collect those coefficients in the one-step scatter matrix
+  ``S`` (``S[u, v]``); the fully-forwarded *carry* then satisfies
+  ``carry = b + S · carry``, i.e. ``carry = C b`` with ``C = (I − S)⁻¹``.
+  ``S`` only points from a vertex to a kept vertex or one eliminated later,
+  so it is nilpotent and ``C = Π_j (I + S^(2^j))`` is built by repeated
+  squaring.
+* Back substitution is ``x_v = Σ_u S[u, v] x_u + carry_v / d_v`` with
+  ``d_v = w`` (rake) or ``w_1 + w_2`` (compress), and ``x = x_reduced`` on
+  the kept vertices, i.e. ``x = Cᵀ y`` where ``y`` stacks ``x_reduced`` and
+  ``D⁻¹ carry``.
 
-Both directions serve ``(n,)`` vectors and batched ``(n, k)`` blocks alike,
-and are **bit-for-bit identical** to the sequential per-step replay: within
-a sub-round the scatter-adds run in step order (``np.add.at`` accumulates
-sequentially) and every arithmetic expression matches the replay's
-evaluation order.  That guarantee is what lets the compiled chain reproduce
-historical iteration counts and residuals exactly.
-
-:func:`TransferOperators.forward_matrix` additionally exposes the composed
-forward map as one explicit ``scipy.sparse`` CSR matrix (``n_kept x n``) for
-diagnostics and linear-operator consumers; the hot path prefers the
-per-sub-round sweeps for the bit-compatibility above.
+With ``H = C[[kept, eliminated]]`` (rows reordered, kept first) a level is
+``Hᵀ · blockdiag(A_{i+1}⁺, D⁻¹) · H``: :meth:`TransferOperators.forward` is
+``z = H b`` and :meth:`TransferOperators.backward` is
+``Hᵀ [x_reduced; D⁻¹ z_eliminated]``.  Both serve ``(n,)`` vectors and
+``(n, k)`` blocks; SciPy's CSR/CSC products accumulate every output entry in
+the same order at every width, so a block equals its columns bit for bit.
+The products regroup the replay's sums, so they agree with the sequential
+per-step replay to rounding (max relative error ≤ 1e-12, measured ~1e-16),
+not bitwise.
 
 A compiled :class:`TransferOperators` is immutable: :meth:`forward` and
-:meth:`backward` allocate their carry/result arrays per call and only read
-the precomputed index/coefficient arrays, so one compiled instance serves
-any number of concurrent solves (each passing per-call data and charging
-its own :class:`~repro.core.operator.SolveContext`).
+:meth:`backward` allocate their results per call and only read ``H``, so one
+compiled instance serves any number of concurrent solves (each passing
+per-call data and charging its own
+:class:`~repro.core.operator.SolveContext`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,95 +49,30 @@ import scipy.sparse as sp
 from repro.core.elimination import EliminationResult, EliminationSchedule
 
 
-@dataclass(frozen=True)
-class _Rake:
-    """One degree-1 sub-round: ``b[u] += b[v]`` forward, ``x[v] = x[u] + carry[v]/w``.
-
-    ``layers`` splits ``(u, v)`` into duplicate-free-target slices (see
-    :func:`_occurrence_layers`) so batched forwards can scatter with plain
-    fancy-index adds while reproducing ``np.add.at``'s per-slot order.
-    """
-
-    v: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    layers: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
-class _Compress:
-    """One degree-2 sub-round.
-
-    Forward uses the interleaved ``(targets, sources, coeffs)`` arrays —
-    ``[u1_0, u2_0, u1_1, u2_1, ...]`` — so the scatter-add order matches the
-    per-step replay exactly; backward uses the per-step neighbor arrays.
-    ``layers`` carries the duplicate-free-target decomposition of the
-    interleaved arrays for the batched forward path.
-    """
-
-    v: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    total: np.ndarray
-    fwd_targets: np.ndarray
-    fwd_sources: np.ndarray
-    fwd_coeffs: np.ndarray
-    layers: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def _occurrence_layers(targets: np.ndarray) -> List[np.ndarray]:
-    """Partition scatter steps into layers with unique targets, in order.
-
-    Step ``i`` goes to layer ``L`` when ``targets[i]`` has appeared ``L``
-    times before.  Within a layer every target is distinct, so a vectorized
-    ``arr[targets_L] += ...`` performs exactly one add per slot; replaying
-    layers in order applies the adds aimed at any single slot in the
-    original step order — which, with sources never written inside a
-    sub-round (a validated schedule invariant), makes the layered scatter
-    bit-for-bit identical to a sequential ``np.add.at``.
-    """
-    order = np.argsort(targets, kind="stable")
-    sorted_t = targets[order]
-    new_group = np.r_[True, sorted_t[1:] != sorted_t[:-1]]
-    group_start = np.flatnonzero(new_group)
-    group_sizes = np.diff(np.r_[group_start, sorted_t.shape[0]])
-    occ_sorted = np.arange(sorted_t.shape[0]) - np.repeat(group_start, group_sizes)
-    occurrence = np.empty(targets.shape[0], dtype=np.int64)
-    occurrence[order] = occ_sorted
-    depth = int(occurrence.max(initial=-1)) + 1
-    return [np.flatnonzero(occurrence == level) for level in range(depth)]
-
-
-_SubRound = Union[_Rake, _Compress]
-
-
 class TransferOperators:
-    """Array-form forward/backward solve transfers for one elimination.
+    """Partial-Cholesky forward/backward solve transfers for one elimination.
 
     Built once per chain level (at ``factorize`` time) by
     :func:`compile_transfers`; applied many times per solve.  The
-    :meth:`forward` / :meth:`backward` pair shares the forward-propagated
-    *carry* vector so a preconditioner application runs the forward sweep
-    exactly once (the legacy ``forward_rhs`` + ``backward_solution``
-    signatures re-ran it twice).
+    :meth:`forward` / :meth:`backward` pair shares the forwarded *carry* so
+    a preconditioner application runs the forward product exactly once.
     """
 
-    __slots__ = ("n", "kept_vertices", "num_steps", "num_subrounds", "_subrounds")
+    __slots__ = ("n", "n_kept", "num_steps", "num_subrounds", "_h", "_ht", "_dinv")
 
     def __init__(
-        self,
-        n: int,
-        kept_vertices: np.ndarray,
-        subrounds: List[_SubRound],
-        num_steps: int,
+        self, h: sp.csr_matrix, dinv: np.ndarray, num_subrounds: int
     ) -> None:
-        self.n = int(n)
-        self.kept_vertices = np.asarray(kept_vertices, dtype=np.int64)
-        self._subrounds = subrounds
-        self.num_steps = int(num_steps)
-        self.num_subrounds = len(subrounds)
+        self.n = int(h.shape[1])
+        self.num_steps = int(dinv.shape[0])
+        self.n_kept = self.n - self.num_steps
+        self.num_subrounds = int(num_subrounds)
+        self._h = h
+        self._dinv = dinv
+        # Hᵀ as CSC over the very same buffer objects: one stored copy of H.
+        ht = sp.csc_matrix((h.data, h.indices, h.indptr), shape=(self.n, self.n))
+        ht.data, ht.indices, ht.indptr = h.data, h.indices, h.indptr
+        self._ht = ht
 
     # ------------------------------------------------------------------ #
     # application
@@ -145,61 +80,25 @@ class TransferOperators:
     def forward(self, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Propagate right-hand side(s) down; return ``(b_reduced, carry)``.
 
-        ``carry`` is the fully-forwarded full-length array: at every
-        eliminated vertex it holds the forwarded value at elimination time,
-        which is precisely what :meth:`backward` substitutes with.  Accepts
-        ``(n,)`` or ``(n, k)``.
-
-        Vectors scatter with ``np.add.at``; batched blocks replay the same
-        per-slot add order through the duplicate-free layer decomposition,
-        so the result is bit-identical across batch widths and to the
-        historical per-step replay.
+        ``carry = H b`` holds the forwarded values, kept vertices first (in
+        the elimination's ``kept_vertices`` order, so ``b_reduced`` is its
+        leading block), then each eliminated vertex's value at its
+        elimination time, in step order — what :meth:`backward` substitutes
+        with.  Accepts ``(n,)`` or ``(n, k)``.
         """
-        batched = np.ndim(b) == 2
-        # Batched blocks stay column-contiguous (Fortran order): each layer
-        # is one fancy-index add over every column at once.
-        carry = np.array(b, dtype=float, copy=True, order="F" if batched else "C")
-        for sub in self._subrounds:
-            if isinstance(sub, _Rake):
-                if batched:
-                    for u_layer, v_layer in sub.layers:
-                        carry[u_layer] += carry[v_layer]
-                else:
-                    np.add.at(carry, sub.u, carry[sub.v])
-            elif batched:
-                for t_layer, s_layer, c_layer in sub.layers:
-                    carry[t_layer] += c_layer[:, None] * carry[s_layer]
-            else:
-                np.add.at(carry, sub.fwd_targets, sub.fwd_coeffs * carry[sub.fwd_sources])
-        return carry[self.kept_vertices], carry
+        carry = self._h @ np.asarray(b, dtype=float)
+        return carry[: self.n_kept], carry
 
     def backward(self, carry: np.ndarray, x_reduced: np.ndarray) -> np.ndarray:
         """Back-substitute eliminated vertices from a :meth:`forward` carry.
 
-        Back-substitution targets (the eliminated vertices of a sub-round)
-        are unique, so batched blocks vectorize straight across columns:
-        every element sees the identical scalar expression a per-vector
-        sweep evaluates, keeping the result bit-identical column by column.
+        Returns ``Hᵀ [x_reduced; D⁻¹ carry_eliminated]``; on the kept
+        vertices that is ``x_reduced`` exactly.
         """
-        x = np.zeros_like(carry)
-        x[self.kept_vertices] = np.asarray(x_reduced, dtype=float)
-        batched = x.ndim == 2
-        for sub in reversed(self._subrounds):
-            v = sub.v
-            if isinstance(sub, _Rake):
-                w = sub.w[:, None] if batched else sub.w
-                x[v] = x[sub.u] + carry[v] / w
-            elif batched:
-                x[v] = (
-                    sub.w1[:, None] * x[sub.u1] + sub.w2[:, None] * x[sub.u2] + carry[v]
-                ) / sub.total[:, None]
-            else:
-                x[v] = (sub.w1 * x[sub.u1] + sub.w2 * x[sub.u2] + carry[v]) / sub.total
-        # Hand back a C-ordered block: downstream reductions (CG dot
-        # products, projections) pairwise-sum by memory layout, and bitwise
-        # reproducibility of historical solves requires the layout the
-        # interpreted transfer produced.
-        return np.ascontiguousarray(x) if batched else x
+        tail = carry[self.n_kept :]
+        dinv = self._dinv if tail.ndim == 1 else self._dinv[:, None]
+        stacked = np.concatenate([np.asarray(x_reduced, dtype=float), dinv * tail])
+        return self._ht @ stacked
 
     # ------------------------------------------------------------------ #
     # legacy-shaped entry points
@@ -211,7 +110,7 @@ class TransferOperators:
     def backward_solution(self, b: np.ndarray, x_reduced: np.ndarray) -> np.ndarray:
         """Extend reduced solution(s) given the *original* right-hand side.
 
-        Re-runs the forward sweep to rebuild the carry; prefer the
+        Re-runs the forward product to rebuild the carry; prefer the
         :meth:`forward` / :meth:`backward` pair when both directions are
         needed (the solver hot path does).
         """
@@ -222,31 +121,18 @@ class TransferOperators:
     # explicit sparse form
     # ------------------------------------------------------------------ #
     def forward_matrix(self) -> sp.csr_matrix:
-        """The composed forward transfer as one ``n_kept x n`` CSR matrix.
+        """The forward transfer as one ``n_kept x n`` CSR matrix (``H``'s kept rows).
 
-        ``forward_matrix() @ b`` equals ``forward_rhs(b)`` up to
-        floating-point associativity (the sweeps are the bit-exact replay;
-        the matrix groups the same sums per row).  Useful for diagnostics,
-        spectral checks, and exporting the preconditioner as a linear
-        operator.
+        ``forward_matrix() @ b`` equals ``forward_rhs(b)`` exactly; its
+        transpose is the ``x_reduced`` block of :meth:`backward`.
         """
-        full = sp.identity(self.n, format="csr")
-        for sub in self._subrounds:
-            if isinstance(sub, _Rake):
-                rows, cols = sub.u, sub.v
-                vals = np.ones(sub.v.shape[0], dtype=np.float64)
-            else:
-                rows, cols, vals = sub.fwd_targets, sub.fwd_sources, sub.fwd_coeffs
-            scatter = sp.coo_matrix(
-                (vals, (rows, cols)), shape=(self.n, self.n)
-            ).tocsr()
-            full = full + scatter @ full
-        return full[self.kept_vertices].tocsr()
+        return self._h[: self.n_kept]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TransferOperators(n={self.n}, kept={self.kept_vertices.shape[0]}, "
-            f"steps={self.num_steps}, subrounds={self.num_subrounds})"
+            f"TransferOperators(n={self.n}, kept={self.n_kept}, "
+            f"steps={self.num_steps}, subrounds={self.num_subrounds}, "
+            f"nnz={self._h.nnz})"
         )
 
 
@@ -255,65 +141,71 @@ def compile_transfers(elimination: EliminationResult) -> TransferOperators:
     return compile_schedule(elimination.schedule, elimination.kept_vertices)
 
 
+def _check_schedule(schedule: EliminationSchedule, kept: np.ndarray) -> None:
+    """Reject a schedule whose scatter matrix would not be nilpotent.
+
+    Every vertex must be kept or eliminated exactly once, and every step
+    may only reference vertices that are kept or eliminated in a *later*
+    sub-round — then ``S`` points strictly forward in sub-round order.
+    """
+    n = schedule.n
+    vertices = schedule.vertices.astype(np.int64)
+    counts = np.bincount(np.concatenate([kept, vertices]), minlength=n)
+    if counts.shape[0] != n or (counts != 1).any():
+        raise ValueError(
+            "kept and eliminated vertices must partition 0..n-1, each exactly once"
+        )
+    step_round = np.repeat(
+        np.arange(schedule.num_subrounds), np.diff(schedule.offsets)
+    )
+    when = np.full(n, schedule.num_subrounds, dtype=np.int64)
+    when[vertices] = step_round
+    for nbr in (schedule.nbr1, schedule.nbr2):
+        nbr = nbr.astype(np.int64)
+        has = nbr >= 0
+        bad = np.flatnonzero(has & (when[np.where(has, nbr, 0)] <= step_round))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"step {i} (sub-round {int(step_round[i])}) eliminates vertex "
+                f"{int(vertices[i])} but references vertex {int(nbr[i])}, which "
+                f"is eliminated in sub-round {int(when[nbr[i]])}, not later"
+            )
+
+
 def compile_schedule(
     schedule: EliminationSchedule, kept_vertices: np.ndarray
 ) -> TransferOperators:
     """Compile an :class:`EliminationSchedule` into :class:`TransferOperators`.
 
-    Validates the sub-round invariant (uniform kind; no step references a
-    vertex eliminated in the same sub-round) and precomputes the per-round
-    scatter/gather arrays, including the forward coefficients
-    ``w_i / (w_1 + w_2)``.
+    Validates the schedule (see :func:`_check_schedule`; a malformed one
+    raises ``ValueError``), builds the one-step scatter matrix ``S`` in one
+    vectorized pass, and forms ``H = ((I − S)⁻¹)[[kept, eliminated]]`` by
+    repeated squaring.
     """
-    subrounds: List[_SubRound] = []
-    for i in range(schedule.num_subrounds):
-        sl = schedule.subround(i)
-        v = schedule.vertices[sl]
-        u1 = schedule.nbr1[sl]
-        u2 = schedule.nbr2[sl]
-        w1 = schedule.w1[sl]
-        w2 = schedule.w2[sl]
-        is_d1 = u2 < 0
-        if is_d1.all():
-            layers = tuple(
-                (u1[sel], v[sel]) for sel in _occurrence_layers(u1)
-            )
-            subrounds.append(_Rake(v=v, u=u1, w=w1, layers=layers))
-        elif not is_d1.any():
-            size = v.shape[0]
-            total = w1 + w2
-            targets = np.empty(2 * size, dtype=np.int64)
-            targets[0::2] = u1
-            targets[1::2] = u2
-            sources = np.repeat(v, 2)
-            coeffs = np.empty(2 * size, dtype=np.float64)
-            coeffs[0::2] = w1 / total
-            coeffs[1::2] = w2 / total
-            layers = tuple(
-                (targets[sel], sources[sel], coeffs[sel])
-                for sel in _occurrence_layers(targets)
-            )
-            subrounds.append(
-                _Compress(
-                    v=v, u1=u1, u2=u2, w1=w1, w2=w2, total=total,
-                    fwd_targets=targets, fwd_sources=sources, fwd_coeffs=coeffs,
-                    layers=layers,
-                )
-            )
-        else:  # pragma: no cover - schedule invariant
-            raise ValueError(f"sub-round {i} mixes degree-1 and degree-2 steps")
-        # No step may reference a vertex eliminated in the same sub-round —
-        # the bulk gather-before-scatter application depends on it.
-        eliminated_here = set(v.tolist())
-        refs = set(u1.tolist()) | set(u2[u2 >= 0].tolist())
-        if eliminated_here & refs:  # pragma: no cover - schedule invariant
-            raise ValueError(
-                f"sub-round {i} eliminates a vertex it also references: "
-                f"{sorted(eliminated_here & refs)[:5]}"
-            )
-    return TransferOperators(
-        n=schedule.n,
-        kept_vertices=kept_vertices,
-        subrounds=subrounds,
-        num_steps=schedule.num_steps,
-    )
+    n = schedule.n
+    kept = np.asarray(kept_vertices, dtype=np.int64)
+    _check_schedule(schedule, kept)
+    v = schedule.vertices.astype(np.int64)
+    u1 = schedule.nbr1.astype(np.int64)
+    u2 = schedule.nbr2.astype(np.int64)
+    is_d2 = u2 >= 0
+    w1 = schedule.w1.astype(np.float64)
+    w2 = schedule.w2.astype(np.float64)
+    total = np.where(is_d2, w1 + w2, w1)
+    rows = np.concatenate([u1, u2[is_d2]])
+    cols = np.concatenate([v, v[is_d2]])
+    vals = np.concatenate([w1 / total, w2[is_d2] / total[is_d2]])
+    scatter = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    # C = I + S + S² + ... = (I + S)(I + S²)(I + S⁴)···, finite as S is nilpotent.
+    carry_map = sp.identity(n, format="csr") + scatter
+    power = scatter
+    while True:
+        power = power @ power
+        if power.nnz == 0:
+            break
+        carry_map = carry_map + carry_map @ power
+    h = carry_map[np.concatenate([kept, v])]
+    h.sort_indices()
+    return TransferOperators(h, 1.0 / total, schedule.num_subrounds)

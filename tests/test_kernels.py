@@ -32,8 +32,10 @@ from repro.linalg.norms import column_dot, column_means, column_norms
 # elimination benchmark (and ``test_transfer.py``).
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.bench_elimination import (  # noqa: E402
+    REPLAY_RTOL,
     legacy_backward_solution as replay_backward,
     legacy_forward_rhs as replay_forward,
+    max_relative_error,
 )
 
 
@@ -49,9 +51,10 @@ def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("width", [None, 3])
 def test_transfers_bit_identical_across_backends(corpus_case, width):
-    """The vector scatter (``np.add.at``) and the block scatter (layered
-    fancy-index adds) are two implementations of one sweep: every column of
-    a block must match the vector path bit for bit, in both directions."""
+    """The vector products (CSR/CSC matvec) and the block products
+    (multi-vector matvecs) are two implementations of one transfer: every
+    column of a block must match the vector path bit for bit, in both
+    directions."""
     elim = greedy_elimination(corpus_case.graph, seed=13)
     transfers = compile_transfers(elim)
     rng = np.random.default_rng(99)
@@ -70,7 +73,9 @@ def test_transfers_bit_identical_across_backends(corpus_case, width):
 
 
 def test_transfers_default_kernels_match_explicit_reference(corpus_case):
-    """Compiled block transfers equal the per-step op-list replay per column."""
+    """Compiled block transfers agree with the per-step op-list replay per
+    column to a max relative error of 1e-12 (the sparse products regroup the
+    replay's sums, so agreement is to rounding, not bitwise)."""
     elim = greedy_elimination(corpus_case.graph, seed=5)
     transfers = compile_transfers(elim)
     rng = np.random.default_rng(7)
@@ -79,8 +84,11 @@ def test_transfers_default_kernels_match_explicit_reference(corpus_case):
     x_reduced = rng.standard_normal(reduced.shape)
     x = transfers.backward(carry, x_reduced)
     for j in range(b.shape[1]):
-        assert_bit_equal(reduced[:, j], replay_forward(elim, b[:, j]))
-        assert_bit_equal(x[:, j], replay_backward(elim, b[:, j], x_reduced[:, j]))
+        assert max_relative_error(replay_forward(elim, b[:, j]), reduced[:, j]) <= REPLAY_RTOL
+        assert (
+            max_relative_error(replay_backward(elim, b[:, j], x_reduced[:, j]), x[:, j])
+            <= REPLAY_RTOL
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from repro.core.config import ChainConfig, SolverConfig
 from repro.core.operator import factorize
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.graph.laplacian import graph_to_laplacian
 from repro.serving import ServiceConfig, SolverService, bucket_tol
 
 
@@ -507,7 +508,9 @@ class TestServiceUpdate:
         b = _pool(g, 1)[0]
         edits = repro.EdgeEdits.reweights([0, 3], [4.0, 0.5])
         mutated = g.apply_edits(edits)
-        ref = factorize(mutated, seed=0).solve(b, tol=1e-8)
+        # Two independent tol=1e-8 solves need not agree to 1e-8 in max norm;
+        # a tol=1e-12 reference leaves only the served answer's own error.
+        ref = factorize(mutated, seed=0).solve(b, tol=1e-12)
         service = SolverService(ServiceConfig(window_seconds=0.01, max_batch=4))
         fp = service.register(g, seed=0)
 
@@ -525,6 +528,12 @@ class TestServiceUpdate:
         report = asyncio.run(run())
         assert report.converged
         assert np.max(np.abs(report.x - ref.x)) <= 1e-8
+        # The served answer solves the mutated system, not the old one.
+        b_norm = np.linalg.norm(b)
+        new_residual = np.linalg.norm(graph_to_laplacian(mutated) @ report.x - b) / b_norm
+        old_residual = np.linalg.norm(graph_to_laplacian(g) @ report.x - b) / b_norm
+        assert new_residual <= 1e-8
+        assert old_residual > 1e-3
         stats = service.stats()
         assert stats.updates == 1
         # The stale fingerprint's chain-cache entries were evicted.

@@ -1,8 +1,11 @@
 """Tests for compiled solve transfers (repro.core.transfer).
 
-The compiled operators must reproduce the historical per-step op-list replay
-*bit for bit* — the solver's iteration counts and residuals are fixed-seed
-reproducible across the interpreted->compiled refactor only because of this.
+The compiled partial-Cholesky factor ``H`` must agree with the historical
+per-step op-list replay to rounding: its sparse products regroup the
+replay's sums, so the oracle is a max relative error of 1e-12 (measured
+~1e-16), not bit equality.  Batched blocks still equal their columns bit for
+bit, and the structure of the factor (kept rows, symmetry of the level
+operator, forward/backward adjointness) is checked exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core.chain import build_chain
+from repro.core.chain_cache import _iter_ndarrays
 from repro.core.elimination import (
+    NO_NEIGHBOR,
     EliminationSchedule,
     greedy_elimination,
 )
@@ -29,8 +34,8 @@ from repro.linalg.direct import solve_laplacian_direct
 # harness so the test and bench baselines cannot drift apart.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.bench_elimination import (  # noqa: E402
-    legacy_backward_solution as replay_backward,
-    legacy_forward_rhs as replay_forward,
+    REPLAY_RTOL,
+    replay_error,
 )
 
 
@@ -95,11 +100,7 @@ class TestBitForBitEquivalence:
         rng = np.random.default_rng(seed + 99)
         b = rng.standard_normal(g.n)
         x_red = rng.standard_normal(elim.reduced_graph.n)
-        transfers = elim.transfer
-        assert np.array_equal(replay_forward(elim, b), transfers.forward_rhs(b))
-        assert np.array_equal(
-            replay_backward(elim, b, x_red), transfers.backward_solution(b, x_red)
-        )
+        assert replay_error(elim, elim.transfer, b, x_red) <= REPLAY_RTOL
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_sequential_mode_matches_replay(self, seed):
@@ -108,10 +109,7 @@ class TestBitForBitEquivalence:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(g.n)
         x_red = rng.standard_normal(elim.reduced_graph.n)
-        assert np.array_equal(replay_forward(elim, b), elim.forward_rhs(b))
-        assert np.array_equal(
-            replay_backward(elim, b, x_red), elim.backward_solution(b, x_red)
-        )
+        assert replay_error(elim, elim.transfer, b, x_red) <= REPLAY_RTOL
 
     def test_forward_carry_equals_backward_solution_path(self):
         """The carry-reusing pair equals the legacy two-pass signatures."""
@@ -200,7 +198,7 @@ class TestOperatorProperties:
         rng = np.random.default_rng(1)
         for _ in range(3):
             b = rng.standard_normal(g.n)
-            assert np.allclose(F @ b, elim.forward_rhs(b), atol=1e-12)
+            assert np.array_equal(F @ b, elim.forward_rhs(b))
 
     def test_transfer_is_linear(self):
         g = _random_tree(90, 6)
@@ -261,3 +259,94 @@ class TestChainIntegration:
         t = compile_transfers(elim)
         b = np.random.default_rng(0).standard_normal(g.n)
         assert np.array_equal(t.forward_rhs(b), elim.forward_rhs(b))
+
+
+class TestFactorStructure:
+    """``backward ∘ (P ⊕ D⁻¹) ∘ forward`` is ``Hᵀ blockdiag(P, D⁻¹) H``."""
+
+    def test_factor_structure(self, corpus_case):
+        g = corpus_case.graph
+        elim = greedy_elimination(g, seed=13)
+        t = compile_transfers(elim)
+        n, n_kept = g.n, elim.reduced_graph.n
+        rng = np.random.default_rng(31)
+
+        # Kept rows of backward hand x_reduced back untouched.
+        x_red = rng.standard_normal(n_kept)
+        _, carry = t.forward(rng.standard_normal(n))
+        assert np.array_equal(t.backward(carry, x_red)[elim.kept_vertices], x_red)
+
+        # The x_reduced block of backward is forward_matrix()ᵀ.
+        lift = t.backward(np.zeros((n, n_kept)), np.eye(n_kept))
+        assert np.array_equal(lift, t.forward_matrix().T.toarray())
+
+        # A level with an SPD reduced solve is a symmetric operator.
+        a = rng.standard_normal((n_kept, n_kept))
+        spd = a @ a.T + np.eye(n_kept)
+
+        def level(r):
+            r_red, carry = t.forward(r)
+            return t.backward(carry, spd @ r_red)
+
+        r, s = rng.standard_normal((2, n))
+        sMr, rMs = s @ level(r), r @ level(s)
+        assert abs(sMr - rMs) <= 1e-12 * max(abs(sMr), abs(rMs), 1e-300)
+
+    def test_single_copy_of_factor(self):
+        """H and its stored transpose share buffer objects, not views."""
+        chain = build_chain(generators.grid_2d(16, 16), seed=0)
+        for lvl in chain.levels[:-1]:
+            arrays = list(_iter_ndarrays(lvl.transfers))
+            assert arrays
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1 :]:
+                    assert not np.shares_memory(a, b)
+
+
+def _schedule(n, vertices, nbr1, nbr2, w1, w2, offsets):
+    return EliminationSchedule(
+        n=n,
+        vertices=np.asarray(vertices, dtype=np.int64),
+        nbr1=np.asarray(nbr1, dtype=np.int64),
+        nbr2=np.asarray(nbr2, dtype=np.int64),
+        w1=np.asarray(w1, dtype=np.float64),
+        w2=np.asarray(w2, dtype=np.float64),
+        offsets=np.asarray(offsets, dtype=np.int64),
+    )
+
+
+class TestMalformedSchedule:
+    """A schedule whose scatter matrix is not nilpotent raises, never loops."""
+
+    def test_reference_to_vertex_eliminated_earlier(self):
+        # Sub-round 0 rakes 0 into 1; sub-round 1 compresses 1 between 3 and
+        # the already-eliminated 0, which closes the cycle 0 -> 1 -> 0.
+        sched = _schedule(
+            4, [0, 1], [1, 3], [NO_NEIGHBOR, 0], [1.0, 2.0], [0.0, 3.0], [0, 1, 2]
+        )
+        with pytest.raises(ValueError, match="eliminated in sub-round 0, not later"):
+            compile_schedule(sched, np.array([2, 3]))
+
+    def test_reference_to_vertex_eliminated_in_same_subround(self):
+        # One sub-round rakes 0 into 1 and 1 into 0.
+        sched = _schedule(
+            3, [0, 1], [1, 0], [NO_NEIGHBOR] * 2, [1.0, 1.0], [0.0, 0.0], [0, 2]
+        )
+        with pytest.raises(ValueError, match="eliminated in sub-round 0, not later"):
+            compile_schedule(sched, np.array([2]))
+
+    def test_vertex_eliminated_twice(self):
+        sched = _schedule(
+            3, [0, 0], [1, 2], [NO_NEIGHBOR] * 2, [1.0, 1.0], [0.0, 0.0], [0, 1, 2]
+        )
+        with pytest.raises(ValueError, match="partition"):
+            compile_schedule(sched, np.array([1, 2]))
+
+    def test_well_formed_schedule_compiles(self):
+        sched = _schedule(
+            4, [0, 1], [1, 3], [NO_NEIGHBOR, 2], [1.0, 2.0], [0.0, 3.0], [0, 1, 2]
+        )
+        t = compile_schedule(sched, np.array([2, 3]))
+        b = np.array([1.0, 2.0, 3.0, 4.0])
+        # b_1 += b_0 = 3; then b_3 += 2/5 * 3, b_2 += 3/5 * 3.
+        assert np.allclose(t.forward_rhs(b), [3.0 + 1.8, 4.0 + 1.2], rtol=1e-15)
