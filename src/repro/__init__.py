@@ -15,9 +15,8 @@ Public API highlights
   solve under a bounded latency window, backed by the byte-budgeted /
   TTL'd chain cache.
 * :class:`repro.ChainConfig` / :class:`repro.SolverConfig` — frozen
-  configuration objects (chain construction vs. iteration strategy; the
-  method registry in :mod:`repro.core.methods` provides ``pcg``,
-  ``chebyshev``, and the ``jacobi`` / ``direct`` baselines).
+  configuration objects (chain construction vs. iteration strategy:
+  ``pcg``, ``chebyshev``, and the ``jacobi`` / ``direct`` baselines).
 * :class:`repro.graph.Graph` and :mod:`repro.graph.generators` — graph
   substrate.
 * :func:`repro.core.partition` / :func:`repro.core.split_graph` — parallel

@@ -21,9 +21,8 @@
   (Definition 6.3, Section 6.3); precompiles per-level transfers.
 * :mod:`~repro.core.chebyshev` — preconditioned Chebyshev iteration
   (Lemma 6.7).
-* :mod:`~repro.core.config` — frozen ``ChainConfig`` / ``SolverConfig``.
-* :mod:`~repro.core.methods` — pluggable solve-method registry
-  (``pcg`` / ``chebyshev`` / ``jacobi`` / ``direct``).
+* :mod:`~repro.core.config` — frozen ``ChainConfig`` / ``SolverConfig`` and
+  the four solve methods (``pcg`` / ``chebyshev`` / ``jacobi`` / ``direct``).
 * :mod:`~repro.core.operator` — the public ``factorize`` →
   ``LaplacianOperator.solve`` lifecycle (Theorem 1.1), with batched
   multi-RHS support.
@@ -59,7 +58,6 @@ from repro.core.transfer import compile_transfers, TransferOperators
 from repro.core.chain import build_chain, PreconditionerChain, ChainLevel
 from repro.core.chebyshev import chebyshev_apply, estimate_extreme_eigenvalues
 from repro.core.config import ChainConfig, SolverConfig
-from repro.core.methods import available_methods, get_method, register_method, SolveMethod
 from repro.core.operator import factorize, LaplacianOperator, SolveReport
 from repro.core.update import UpdateReport, update_operator
 from repro.core.chain_cache import (
@@ -105,10 +103,6 @@ __all__ = [
     "estimate_extreme_eigenvalues",
     "ChainConfig",
     "SolverConfig",
-    "available_methods",
-    "get_method",
-    "register_method",
-    "SolveMethod",
     "factorize",
     "LaplacianOperator",
     "UpdateReport",

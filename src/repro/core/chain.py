@@ -21,14 +21,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import ChainConfig
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.config import ChainConfig
 from repro.core.elimination import EliminationResult, greedy_elimination
 from repro.core.sparse_akpw import SparseAKPWParameters, low_stretch_subgraph
 from repro.core.transfer import TransferOperators, compile_transfers
@@ -147,22 +145,10 @@ def default_bottom_size(num_edges: int, num_vertices: int = 0, minimum: int = 40
 
 def build_chain(
     graph: Graph,
-    config: Optional["ChainConfig"] = None,
+    config: Optional[ChainConfig] = None,
     *,
-    kappa: float = 25.0,
-    lam: int = 2,
-    beta: float = 6.0,
-    bottom_size: Optional[int] = None,
-    max_levels: int = 4,
-    subgraph_parameters: Optional[SparseAKPWParameters] = None,
-    oversample: float = 1.0,
-    use_log_factor: bool = False,
-    reweight: bool = False,
     seed: RngLike = None,
     cost: Optional[CostModel] = None,
-    use_tree_only: bool = False,
-    index_dtype: str = "int32",
-    value_dtype: str = "float64",
     memory_profile: bool = False,
 ) -> PreconditionerChain:
     """Build a preconditioner chain for the Laplacian of ``graph``.
@@ -172,33 +158,21 @@ def build_chain(
     graph:
         The Laplacian graph ``A_1`` (conductance weights).
     config:
-        A frozen :class:`~repro.core.config.ChainConfig` bundling every
-        construction parameter.  When given it takes precedence over the
-        individual keyword arguments below (which remain for backwards
-        compatibility).
-    kappa:
-        Per-level condition parameter ``kappa_i`` (uniform, as in the
-        first-attempt analysis of Lemma 6.9).  Roughly ``sqrt(kappa)``
-        iterations are spent per level at solve time, while larger ``kappa``
-        shrinks the next level more aggressively.
-    lam, beta, subgraph_parameters:
-        Parameters of the low-stretch subgraph used inside the
-        sparsification step.
-    bottom_size:
-        Chain termination size; defaults to ``max(40, m^(1/3))``.
-    use_log_factor, oversample, reweight:
-        Sampling knobs forwarded to :func:`incremental_sparsify`.
-    use_tree_only:
-        Ablation switch (experiment E11): use only the *spanning-tree part*
-        of the low-stretch construction as the kept subgraph, mimicking a
-        chain built from a low-stretch tree instead of an ultra-sparse
-        subgraph.
-    index_dtype, value_dtype:
-        Dtype policy of every edge/vertex array the build materializes (see
-        :class:`~repro.core.config.ChainConfig`).  The working graph is
-        normalized once at entry; the lean dtypes then propagate through
-        every stage.  Index dtypes never change float arithmetic, so solves
-        are bit-identical across index settings.
+        A frozen :class:`~repro.core.config.ChainConfig` carrying every
+        construction parameter (``None`` selects the defaults): the
+        per-level condition parameter ``kappa`` (uniform, as in the
+        first-attempt analysis of Lemma 6.9), the low-stretch subgraph
+        parameters ``lam``/``beta``, the termination size ``bottom_size``
+        and level cap ``max_levels``, the sampling knobs forwarded to
+        :func:`incremental_sparsify`, the tree-only ablation switch
+        (experiment E11) and the index/value dtype policy.  The working
+        graph is normalized to that dtype policy once at entry; index
+        dtypes never change float arithmetic, so solves are bit-identical
+        across index settings.
+    seed:
+        RNG seed controlling every randomized stage.
+    cost:
+        Optional PRAM cost model charged with the construction work/depth.
     memory_profile:
         Record per-stage tracemalloc peaks and reset the kernel RSS
         high-water mark between stages (adds overhead; the always-on cheap
@@ -210,22 +184,12 @@ def build_chain(
     -------
     PreconditionerChain
     """
-    if config is not None:
-        kappa = config.kappa
-        lam = config.lam
-        beta = config.beta
-        bottom_size = config.bottom_size
-        max_levels = config.max_levels
-        oversample = config.oversample
-        use_log_factor = config.use_log_factor
-        reweight = config.reweight
-        use_tree_only = config.use_tree_only
-        index_dtype = config.index_dtype
-        value_dtype = config.value_dtype
+    config = config if config is not None else ChainConfig()
     cost = cost or null_cost()
     rng = as_rng(seed)
     if graph.n == 0:
         raise ValueError("cannot build a chain for an empty graph")
+    bottom_size = config.bottom_size
     if bottom_size is None:
         bottom_size = default_bottom_size(graph.num_edges, graph.n)
 
@@ -233,8 +197,8 @@ def build_chain(
     # here, before any O(m) allocation, when the graph exceeds capacity) and
     # normalize the working graph once; everything downstream preserves the
     # lean dtypes.
-    idt = resolve_index_dtype(index_dtype, graph.n, graph.num_edges)
-    vdt = resolve_value_dtype(value_dtype)
+    idt = resolve_index_dtype(config.index_dtype, graph.n, graph.num_edges)
+    vdt = resolve_value_dtype(config.value_dtype)
     mem = StageMemoryTracker(profile=memory_profile)
 
     levels: List[ChainLevel] = []
@@ -256,11 +220,11 @@ def build_chain(
                 graph.w.astype(vdt, copy=False),
                 validate=False,
             )
-    level_kappa = float(kappa)
-    for _level_index in range(max_levels):
+    level_kappa = float(config.kappa)
+    for _level_index in range(config.max_levels):
         with mem.stage("laplacian"):
             lap = graph_to_laplacian(current)
-        is_last_slot = _level_index == max_levels - 1
+        is_last_slot = _level_index == config.max_levels - 1
         # The forest test compares edges against *non-isolated* vertices:
         # rake/compress never removes degree-0 vertices, so on graphs that
         # shed whole components (power-law inputs especially) ``n`` stays
@@ -282,12 +246,12 @@ def build_chain(
         t0 = time.perf_counter()
         with mem.stage("subgraph"):
             length_graph = current.reweighted(1.0 / current.w)
-            params = subgraph_parameters or SparseAKPWParameters.practical(current.n, lam=lam, beta=beta)
+            params = SparseAKPWParameters.practical(current.n, lam=config.lam, beta=config.beta)
             subgraph = low_stretch_subgraph(
                 length_graph, parameters=params, seed=derive_seed(rng), cost=cost
             )
         timings["seconds_subgraph"] += time.perf_counter() - t0
-        kept_edges = subgraph.tree_edges if use_tree_only else subgraph.edge_indices
+        kept_edges = subgraph.tree_edges if config.use_tree_only else subgraph.edge_indices
         # Sampling stretches are measured against the spanning-forest part
         # of the low-stretch subgraph: forest stretches upper-bound subgraph
         # stretches (oversampling only) and keep the measurement on the
@@ -300,9 +264,9 @@ def build_chain(
                 level_kappa,
                 seed=derive_seed(rng),
                 cost=cost,
-                oversample=oversample,
-                use_log_factor=use_log_factor,
-                reweight=reweight,
+                oversample=config.oversample,
+                use_log_factor=config.use_log_factor,
+                reweight=config.reweight,
                 stretch_edges=subgraph.tree_edges,
             )
         timings["seconds_sparsify"] += time.perf_counter() - t0

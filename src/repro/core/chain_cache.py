@@ -14,9 +14,9 @@ identical, so non-integer seeds (``None`` or generator objects, whose draws
 differ between calls) bypass the cache entirely — :func:`make_key` returns
 ``None`` for them.  Inputs that cannot be content-hashed make
 :func:`fingerprint_matrix` return ``None``, which likewise bypasses the
-cache; callers must treat a ``None`` fingerprint/key as "solve uncached",
-never as an error (:mod:`repro.serving` degrades such requests to
-uncoalesced solo solves the same way).
+cache; :func:`~repro.core.operator.factorize` treats a ``None`` key as
+"solve uncached", never as an error (:mod:`repro.serving` cannot key such
+inputs and rejects them).
 
 A cached operator carries the *compiled* chain: every
 :class:`~repro.core.chain.ChainLevel` holds its precompiled
@@ -49,7 +49,7 @@ serving layer unregistering a graph).
 Concurrency: both the *table* (lock-guarded here) and the cached
 :class:`~repro.core.operator.LaplacianOperator` objects are safe to share
 across threads.  ``solve`` is re-entrant — every call charges a private
-:class:`~repro.core.operator.SolveContext`, and the operator's lazy
+:class:`~repro.pram.model.CostModel`, and the operator's lazy
 initializers (Chebyshev bounds, the dense/Jacobi baselines) are serialized
 by a setup lock — so a hit can hand the same operator to any number of
 concurrent callers and each solve reports the same ``x``/``work``/``depth``
@@ -170,8 +170,8 @@ def fingerprint_matrix(matrix) -> Optional[str]:
 
     Graphs hash their vertex count and edge arrays; sparse/dense matrices
     hash their CSR structure.  Returns ``None`` for inputs that cannot be
-    fingerprinted — callers must fall back to uncached (and, in the serving
-    layer, uncoalesced) solving rather than erroring.
+    fingerprinted — callers must fall back to uncached solving rather than
+    erroring (the serving layer, which must key every input, rejects them).
     """
     if isinstance(matrix, Graph):
         return matrix.fingerprint()

@@ -16,7 +16,7 @@ provides:
 Both functions are pure given their callables: all iteration state is local,
 so :func:`chebyshev_apply` is safe to run from concurrent solves (each solve
 hands it preconditioner closures bound to its own
-:class:`~repro.core.operator.SolveContext`).  Bound *calibration* draws from
+:class:`~repro.pram.model.CostModel`).  Bound *calibration* draws from
 the operator's RNG and fills shared slots, so the operator runs
 :func:`estimate_extreme_eigenvalues` under its setup lock, exactly once.
 """

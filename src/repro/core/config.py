@@ -10,8 +10,8 @@ immutable dataclasses instead of the historical 13-keyword constructor:
   ``ChainConfig`` (and equal graph + seed) produce identical chains, which is
   what makes the process-level chain cache sound.
 * :class:`SolverConfig` — everything that shapes an individual solve: the
-  iteration method (resolved through the :mod:`repro.core.methods` registry),
-  per-level inner iteration budget, and default tolerance/iteration caps.
+  iteration method (one of :data:`SOLVE_METHODS`), per-level inner
+  iteration budget, and default tolerance/iteration caps.
 
 Both classes are hashable and validated eagerly, so configuration errors
 surface at construction time rather than deep inside a solve.
@@ -23,8 +23,22 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from repro.core.methods import available_methods
 from repro.util.dtypes import INDEX_DTYPE_NAMES, VALUE_DTYPE_NAMES
+
+#: The solve methods: ``"pcg"`` and ``"chebyshev"`` run outer CG
+#: preconditioned by the chain (inner CG or inner Chebyshev, Lemma 6.7);
+#: ``"jacobi"`` (diagonal-preconditioned CG) and ``"direct"`` (dense
+#: pseudo-inverse) are the :mod:`repro.linalg` baselines.
+SOLVE_METHODS = ("pcg", "chebyshev", "jacobi", "direct")
+
+
+def check_method(method: str) -> str:
+    """Return ``method`` if it names one of :data:`SOLVE_METHODS`, else raise."""
+    if method not in SOLVE_METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {', '.join(SOLVE_METHODS)}"
+        )
+    return method
 
 
 @dataclass(frozen=True)
@@ -133,9 +147,8 @@ class SolverConfig:
     Attributes
     ----------
     method:
-        Name of a registered solve method (see
-        :func:`repro.core.methods.available_methods`): ``"pcg"`` (default)
-        and ``"chebyshev"`` use the preconditioner chain; ``"jacobi"`` and
+        One of :data:`SOLVE_METHODS`: ``"pcg"`` (default) and
+        ``"chebyshev"`` use the preconditioner chain; ``"jacobi"`` and
         ``"direct"`` are the :mod:`repro.linalg` baselines.
     inner_iterations:
         Iterations per chain level; ``None`` selects the paper's
@@ -153,11 +166,7 @@ class SolverConfig:
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
-        known = available_methods()
-        if self.method not in known:
-            raise ValueError(
-                f"unknown method {self.method!r}; registered methods: {', '.join(known)}"
-            )
+        check_method(self.method)
         if self.inner_iterations is not None and int(self.inner_iterations) < 1:
             raise ValueError(
                 f"inner_iterations must be >= 1 or None (got {self.inner_iterations})"

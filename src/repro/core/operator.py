@@ -20,19 +20,22 @@ lifecycle explicit:
   depth is charged once per iteration rather than once per column, which is
   exactly the PRAM parallelism the paper claims for independent solves.
 
-The iteration strategy is pluggable through :mod:`repro.core.methods`
-(``pcg``, ``chebyshev``, plus the ``jacobi`` / ``direct`` baselines).
+The solve method is one of four fixed names
+(:data:`~repro.core.config.SOLVE_METHODS`): ``pcg`` and ``chebyshev`` run
+outer CG preconditioned by the chain (inner CG or inner Chebyshev),
+``jacobi`` runs the same outer CG with a diagonal preconditioner, and
+``direct`` applies the dense pseudo-inverse.
 
 Concurrency: :meth:`LaplacianOperator.solve` is **re-entrant**.  Every call
-allocates a private :class:`SolveContext` carrying its own
-:class:`~repro.pram.model.CostModel`; all per-solve charging (outer
-iterations, inner smoothing, elimination transfers, bottom solves) flows
-through the context, never through shared operator state, so concurrent
-solves on one operator return bit-identical ``x``/``work``/``depth`` to
-serial runs.  The one-time lazy initializers (Chebyshev bound calibration,
-the dense pseudo-inverse and Jacobi baselines) are guarded by a setup lock
-and charge the operator's *setup* accounting — their cost never appears in
-any :class:`SolveReport`, cold start or warm.
+charges a private :class:`~repro.pram.model.CostModel` (a child of the
+operator's model) that is passed down the recursion; all per-solve charging
+(outer iterations, inner smoothing, elimination transfers, bottom solves)
+goes to it, never to shared operator state, so concurrent solves on one
+operator return bit-identical ``x``/``work``/``depth`` to serial runs.  The
+one-time lazy initializers (Chebyshev bound calibration, the dense
+pseudo-inverse and Jacobi baselines) are guarded by a setup lock and charge
+the operator's *setup* accounting — their cost never appears in any
+:class:`SolveReport`, cold start or warm.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ import scipy.sparse as sp
 
 from repro.core.chain import PreconditionerChain, build_chain
 from repro.core.chebyshev import chebyshev_apply, estimate_extreme_eigenvalues
-from repro.core.config import ChainConfig, SolverConfig
-from repro.core.methods import get_method
+from repro.core.config import ChainConfig, SolverConfig, check_method
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.laplacian import (
@@ -58,7 +60,7 @@ from repro.graph.laplacian import (
     laplacian_to_graph,
     sdd_to_laplacian,
 )
-from repro.linalg.cg import batched_conjugate_gradient
+from repro.linalg.cg import BatchedCGResult, batched_conjugate_gradient
 from repro.linalg.direct import laplacian_pseudoinverse
 from repro.linalg.jacobi import jacobi_preconditioner
 from repro.linalg.norms import column_means
@@ -67,9 +69,6 @@ from repro.pram.primitives import charge_elimination_transfer
 from repro.util.rng import RngLike, as_rng
 
 MatrixInput = Union[Graph, sp.spmatrix, np.ndarray]
-
-#: Inner-iteration kinds understood by the chain descent.
-_CHAIN_INNER = ("pcg", "chebyshev")
 
 
 @dataclass
@@ -162,26 +161,6 @@ class SolveReport:
         return reports
 
 
-@dataclass
-class SolveContext:
-    """Private mutable state of one :meth:`LaplacianOperator.solve` call.
-
-    Created fresh per call and threaded through the method runner, the chain
-    preconditioner closures, and every PRAM charging hook, so nothing a
-    solve mutates is shared between concurrent calls.  When the solve
-    finishes, the context's cost model becomes the report's ``work``/``depth``
-    and is folded into the operator's cumulative model under a lock.
-
-    Attributes
-    ----------
-    cost:
-        The per-call :class:`~repro.pram.model.CostModel`; single-owner by
-        construction (see the threading contract in :mod:`repro.pram.model`).
-    """
-
-    cost: CostModel
-
-
 class _ComponentProjector:
     """Removal of the per-connected-component mean (Laplacian null space).
 
@@ -230,9 +209,8 @@ class LaplacianOperator:
 
     Instances are produced by :func:`factorize`; the constructor wires every
     piece of per-solve state — null-space projectors for the top level and
-    for each chain level, the top-level preconditioner entry point, and the
-    Chebyshev bound slots — so :meth:`solve` allocates nothing but iterate
-    vectors.
+    for each chain level, and the Chebyshev bound slots — so :meth:`solve`
+    allocates nothing but iterate vectors.
     """
 
     def __init__(
@@ -326,14 +304,6 @@ class LaplacianOperator:
         """Apply the *original* matrix to ``x`` (vector or ``(n, k)`` block)."""
         return self.original_matrix() @ np.asarray(x, dtype=float)
 
-    def top_matvec(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Matvec with the (reduced) top-level Laplacian.
-
-        This is what the outer iteration of every registered method applies
-        each step.
-        """
-        return self.laplacian.__matmul__
-
     def original_matrix(self) -> sp.spmatrix:
         """The matrix this operator solves against (pre-reduction)."""
         if self._original is not None:
@@ -347,29 +317,8 @@ class LaplacianOperator:
         )
 
     # ------------------------------------------------------------------ #
-    # hooks used by the method registry
+    # one-time lazy state
     # ------------------------------------------------------------------ #
-    def chain_preconditioner(
-        self, inner: str, ctx: SolveContext
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """Top-level preconditioner entry (chain descent or bottom solve).
-
-        The returned closure binds ``ctx`` so every charge it generates goes
-        to the calling solve's private cost model.
-        """
-        if inner not in _CHAIN_INNER:  # pragma: no cover - registry misuse
-            raise ValueError(f"unknown inner iteration kind {inner!r}")
-        if self.chain.depth > 1:
-            return lambda r: self._apply_preconditioner(0, r, inner, ctx)
-        return lambda b: self._solve_bottom(b, ctx)
-
-    def charge_outer_iteration(self, ctx: SolveContext, active_columns: int) -> None:
-        """Charge one outer iteration over ``active_columns`` columns."""
-        ctx.cost.charge(
-            work=float(max(self.laplacian.nnz, 1)) * active_columns,
-            depth=log2ceil(self.graph.n),
-        )
-
     def _charge_setup(self, work: float, depth: float) -> None:
         """Fold one-time lazy-initializer cost into the setup accounting.
 
@@ -410,87 +359,90 @@ class LaplacianOperator:
         return self._dense_pinv
 
     def ensure_chebyshev_bounds(self) -> None:
-        """Estimate per-level spectral bounds of the preconditioned systems.
+        """Estimate the spectral bounds inner Chebyshev reads (Lemma 6.7).
+
+        Only levels ``1 .. depth-2`` run inner Chebyshev: level 0 is
+        preconditioned by the outer CG and the bottom level is solved
+        directly.  They are calibrated deepest first, so each level's
+        estimate runs through exactly the inner Chebyshev iterations a
+        ``chebyshev`` solve applies below it.
 
         Double-checked under the setup lock: concurrent cold-start solves
         calibrate exactly once (the losers of the race block until the bounds
         are published, then proceed with them).  Calibration cost — including
         the recursive preconditioner applications it performs — is charged to
-        the setup accounting via a private context.
+        the setup accounting via a private cost model.
         """
         if self._chebyshev_ready:
             return
         with self._setup_lock:
             if self._chebyshev_ready:
                 return
-            ctx = SolveContext(cost=self.cost.child())
-            for i in range(self.chain.depth - 1):
+            cost = self.cost.child()
+            for i in range(self.chain.depth - 2, 0, -1):
                 level = self.chain.levels[i]
                 lo, hi = estimate_extreme_eigenvalues(
                     lambda v, lap=level.laplacian: lap @ v,
-                    lambda r, i=i: self._apply_preconditioner(i, r, "chebyshev", ctx),
+                    lambda r, i=i: self._apply_preconditioner(i, r, "chebyshev", cost),
                     level.num_vertices,
                     seed=self._rng,
                     project=self._level_projectors[i],
                 )
                 self._chebyshev_bounds[i] = (lo, hi)
             # Charge before publishing readiness (see jacobi_preconditioner).
-            self._charge_setup(ctx.cost.work, ctx.cost.depth)
+            self._charge_setup(cost.work, cost.depth)
             self._chebyshev_ready = True
 
     # ------------------------------------------------------------------ #
     # recursive preconditioner (batched)
     # ------------------------------------------------------------------ #
-    def _solve_bottom(self, b: np.ndarray, ctx: SolveContext) -> np.ndarray:
+    def _solve_bottom(self, b: np.ndarray, cost: CostModel) -> np.ndarray:
         solver = self.chain.bottom_solver
         width = b.shape[1] if b.ndim == 2 else 1
         # Two triangular sweeps over the sparse factor per column.
-        ctx.cost.charge(
+        cost.charge(
             work=float(max(solver.factor_nnz, solver.n)) * width,
             depth=math.log2(max(solver.n, 2)),
         )
         return solver.solve(b)
 
     def _apply_preconditioner(
-        self, level_index: int, r: np.ndarray, inner: str, ctx: SolveContext
+        self, level_index: int, r: np.ndarray, inner: str, cost: CostModel
     ) -> np.ndarray:
         """Approximate ``B_i^+ r`` via compiled elimination transfer + recursive solve."""
         r = np.asarray(r, dtype=float)
         if r.ndim == 1:
-            return self._apply_preconditioner(level_index, r[:, None], inner, ctx)[:, 0]
+            return self._apply_preconditioner(level_index, r[:, None], inner, cost)[:, 0]
         level = self.chain.levels[level_index]
-        assert level.elimination is not None
         elim = level.elimination
-        # Levels built by build_chain carry precompiled transfers; fall back
-        # to the elimination's lazy compile for hand-assembled chains.
-        transfers = level.transfers if level.transfers is not None else elim.transfer
+        transfers = level.transfers
         width = r.shape[1]
-        charge_elimination_transfer(ctx.cost, elim.num_eliminated, elim.rounds, width)
+        charge_elimination_transfer(cost, elim.num_eliminated, elim.rounds, width)
         r_reduced, carry = transfers.forward(r)
-        x_reduced = self._solve_level(level_index + 1, r_reduced, inner, ctx)
+        x_reduced = self._solve_level(level_index + 1, r_reduced, inner, cost)
         x = transfers.backward(carry, x_reduced)
-        charge_elimination_transfer(ctx.cost, elim.num_eliminated, elim.rounds, width)
+        charge_elimination_transfer(cost, elim.num_eliminated, elim.rounds, width)
         return x
 
     def _solve_level(
-        self, level_index: int, b: np.ndarray, inner: str, ctx: SolveContext
+        self, level_index: int, b: np.ndarray, inner: str, cost: CostModel
     ) -> np.ndarray:
         """Approximately solve ``A_i x = b`` with the fixed per-level budget."""
         if level_index >= self.chain.depth - 1:
-            return self._solve_bottom(b, ctx)
+            return self._solve_bottom(b, cost)
         level = self.chain.levels[level_index]
         lap = level.laplacian
         project = self._level_projectors[level_index]
         apply_a = lap.__matmul__
         b = project(b)
-        preconditioner = lambda r: self._apply_preconditioner(level_index, r, inner, ctx)
+        preconditioner = lambda r: self._apply_preconditioner(level_index, r, inner, cost)
         iters = self.inner_iterations
         width = b.shape[1] if b.ndim == 2 else 1
-        ctx.cost.charge(
+        cost.charge(
             work=float(iters) * max(lap.nnz, 1) * width,
             depth=float(iters) * math.log2(max(level.num_vertices, 2)),
         )
-        if inner == "chebyshev" and self._chebyshev_bounds[level_index] is not None:
+        if inner == "chebyshev":
             lo, hi = self._chebyshev_bounds[level_index]
             return chebyshev_apply(
                 apply_a,
@@ -509,6 +461,40 @@ class LaplacianOperator:
         )
         x = result.x[:, 0] if b.ndim == 1 else result.x
         return project(x)
+
+    def _preconditioner(
+        self, method: str, cost: CostModel
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The outer CG's preconditioner: Jacobi, or the chain with inner ``method``."""
+        if method == "jacobi":
+            return self.jacobi_preconditioner()
+        if method == "chebyshev":
+            self.ensure_chebyshev_bounds()
+        if self.chain.depth > 1:
+            return lambda r: self._apply_preconditioner(0, r, method, cost)
+        return lambda b: self._solve_bottom(b, cost)
+
+    def _solve_direct(self, rhs: np.ndarray, tol: float, cost: CostModel) -> BatchedCGResult:
+        """Dense pseudo-inverse solve (Fact 6.4 machinery as a baseline).
+
+        The one-time dense factorization is charged to the setup accounting
+        inside :meth:`dense_pseudoinverse`; only the per-application cost
+        lands on ``cost``.
+        """
+        pinv = self.dense_pseudoinverse()
+        x = pinv @ rhs
+        k = rhs.shape[1]
+        cost.charge(work=float(pinv.shape[0]) ** 2 * k, depth=np.log2(max(pinv.shape[0], 2)))
+        b_norm = np.linalg.norm(rhs, axis=0)
+        residual = np.linalg.norm(self.laplacian @ x - rhs, axis=0)
+        res = np.where(b_norm > 0, residual / np.where(b_norm > 0, b_norm, 1.0), 0.0)
+        return BatchedCGResult(
+            x=x,
+            iterations=np.ones(k, dtype=np.int64),
+            converged=res <= tol,
+            residuals=res,
+            active_counts=[k],
+        )
 
     # ------------------------------------------------------------------ #
     # public solve
@@ -544,15 +530,15 @@ class LaplacianOperator:
             Cap on outer iterations; defaults to the :class:`SolverConfig`
             value.  Must be ``>= 1``.
         method:
-            Optional per-call override of the configured solve method (a
-            name registered in :mod:`repro.core.methods`).
+            Optional per-call override of the configured solve method (one
+            of :data:`~repro.core.config.SOLVE_METHODS`).
 
         Notes
         -----
         This method is re-entrant: concurrent calls on one operator (cached
         or not) are safe and report the same ``x``/``work``/``depth`` bit for
         bit as serial calls.  See the module docstring for how per-call
-        contexts and the setup lock make that hold.
+        cost models and the setup lock make that hold.
         """
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2):
@@ -572,19 +558,32 @@ class LaplacianOperator:
         max_iterations = cfg.max_iterations if max_iterations is None else int(max_iterations)
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1 (got {max_iterations})")
-        spec = get_method(cfg.method if method is None else method)
+        method = check_method(cfg.method if method is None else method)
 
         if width == 0:
             return self._empty_report()
 
-        ctx = SolveContext(cost=self.cost.child())
+        cost = self.cost.child()
 
         if self.reduction is not None and not self.reduction.trivial:
             rhs = self.reduction.expand_rhs(rhs_block)
         else:
             rhs = rhs_block
         rhs = self._projector(rhs)
-        result = spec.run(self, ctx, rhs, tol, max_iterations)
+        if method == "direct":
+            result = self._solve_direct(rhs, tol, cost)
+        else:
+            result = batched_conjugate_gradient(
+                self.laplacian.__matmul__,
+                rhs,
+                tol=tol,
+                max_iterations=max_iterations,
+                preconditioner=self._preconditioner(method, cost),
+                on_iteration=lambda cols: cost.charge(
+                    work=float(max(self.laplacian.nnz, 1)) * cols,
+                    depth=log2ceil(self.graph.n),
+                ),
+            )
         x = self._projector(result.x)
 
         if self.reduction is not None and not self.reduction.trivial:
@@ -601,8 +600,8 @@ class LaplacianOperator:
             iterations=int(result.iterations.max(initial=0)),
             relative_residual=float(rel.max(initial=0.0)),
             converged=bool(result.converged.all()),
-            work=ctx.cost.work,
-            depth=ctx.cost.depth,
+            work=cost.work,
+            depth=cost.depth,
             stats={
                 "chain_levels": float(self.chain.depth),
                 "inner_iterations": float(self.inner_iterations),
@@ -618,7 +617,7 @@ class LaplacianOperator:
         # benchmarks and caller-supplied models) — the only cross-solve
         # mutation left, serialized here.
         with self._accounting_lock:
-            self.cost.sequential(ctx.cost)
+            self.cost.sequential(cost)
         return report
 
     def update(

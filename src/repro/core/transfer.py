@@ -36,7 +36,7 @@ A compiled :class:`TransferOperators` is immutable: :meth:`forward` and
 :meth:`backward` allocate their results per call and only read ``H``, so one
 compiled instance serves any number of concurrent solves (each passing
 per-call data and charging its own
-:class:`~repro.core.operator.SolveContext`).
+:class:`~repro.pram.model.CostModel`).
 """
 
 from __future__ import annotations

@@ -282,10 +282,9 @@ def update_operator(
         damage=accumulated,
     )
 
-    # The constructor re-derives everything the patch must not keep stale:
-    # the top and per-level null-space projectors and the Chebyshev bound
-    # slots (re-calibrated lazily — or eagerly for the chebyshev method —
-    # against the mutated top system).
+    # The constructor re-derives the top and per-level null-space
+    # projectors and the Chebyshev bound slots (re-calibrated lazily — or
+    # eagerly for the chebyshev method).
     model = CostModel()
     model.charge(
         work=float(max(new_graph.num_edges, 1)),

@@ -21,8 +21,8 @@ projecting iterates onto the complement of the all-ones null space.
 Both entry points are **re-entrant**: all iterate state lives in local
 arrays, and the only side channel is the caller-supplied ``on_iteration``
 hook — the solver layer passes a closure bound to its per-call
-:class:`~repro.core.operator.SolveContext`, which is how concurrent solves
-on one operator charge PRAM work without sharing mutable state.
+:class:`~repro.pram.model.CostModel`, which is how concurrent solves on one
+operator charge PRAM work without sharing mutable state.
 """
 
 from __future__ import annotations

@@ -29,8 +29,7 @@ class ServiceStats:
 
     ``requests`` counts every accepted submission; ``served`` those that
     returned a result; ``failed``/``cancelled`` the ones that raised or
-    were abandoned.  ``uncoalesced`` counts bypass-path solves
-    (unfingerprintable inputs).  ``batches`` is the number of batched
+    were abandoned.  ``batches`` is the number of batched
     solves dispatched, ``coalesced_requests`` the requests served in a
     batch of width >= 2.  ``cache_hits``/``cache_misses`` count
     operator-table lookups at batch-solve time — one per *batch*, since
@@ -48,7 +47,6 @@ class ServiceStats:
     served: int
     failed: int
     cancelled: int
-    uncoalesced: int
     batches: int
     coalesced_requests: int
     cache_hits: int
@@ -95,7 +93,6 @@ class ServiceMetrics:
         self._served = 0
         self._failed = 0
         self._cancelled = 0
-        self._uncoalesced = 0
         self._batches = 0
         self._coalesced_requests = 0
         self._cache_hits = 0
@@ -142,10 +139,6 @@ class ServiceMetrics:
         with self._lock:
             self._cancelled += count
 
-    def record_uncoalesced(self) -> None:
-        with self._lock:
-            self._uncoalesced += 1
-
     def record_update(self, *, rebuilt: bool) -> None:
         with self._lock:
             self._updates += 1
@@ -163,7 +156,6 @@ class ServiceMetrics:
                 served=self._served,
                 failed=self._failed,
                 cancelled=self._cancelled,
-                uncoalesced=self._uncoalesced,
                 batches=batches,
                 coalesced_requests=self._coalesced_requests,
                 cache_hits=self._cache_hits,

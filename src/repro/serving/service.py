@@ -14,8 +14,7 @@ a solo solve would have produced.
 Operators are *not* pinned by the service: each batch looks its operator up
 in :mod:`repro.core.chain_cache` (byte-budgeted, TTL + LRU) and
 re-factorizes through the cache on a miss, so cache eviction is always
-survivable and hit rates are real.  Inputs that cannot be fingerprinted
-degrade gracefully to uncoalesced solo solves instead of erroring.
+survivable and hit rates are real.
 
 Usage — asyncio::
 
@@ -44,8 +43,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core import chain_cache
-from repro.core.config import ChainConfig, SolverConfig
-from repro.core.methods import get_method
+from repro.core.config import ChainConfig, SolverConfig, check_method
 from repro.core.operator import LaplacianOperator, MatrixInput, SolveReport, factorize
 from repro.graph.graph import Graph
 from repro.serving.batcher import GroupKey, PendingRequest, RequestBatcher, bucket_tol
@@ -175,8 +173,8 @@ class SolverService:
         the first request pays no setup; ``warm=False`` defers
         factorization to the first dispatched batch.  Matrices whose
         :func:`~repro.core.chain_cache.fingerprint_matrix` is ``None``
-        cannot be registered — submit them directly and they solve
-        uncoalesced.  Non-integer seeds are not chain-cacheable; such
+        cannot be registered (or submitted) and raise :class:`ValueError`.
+        Non-integer seeds are not chain-cacheable; such
         registrations factorize once and pin the operator in the registry
         instead.
         """
@@ -186,8 +184,8 @@ class SolverService:
         fp = chain_cache.fingerprint_matrix(matrix)
         if fp is None:
             raise ValueError(
-                "matrix cannot be fingerprinted; submit() it directly for an "
-                "uncoalesced solve"
+                "matrix cannot be fingerprinted; solve it with "
+                "repro.factorize(...).solve instead"
             )
         n = matrix.n if isinstance(matrix, Graph) else int(matrix.shape[0])
         key = chain_cache.make_key(matrix, chain_cfg, solver_cfg, seed)
@@ -398,10 +396,10 @@ class SolverService:
         coalesced batch.  ``tol`` is quantized down to its decade bucket (see
         :func:`repro.serving.batcher.bucket_tol`); the request's answer is
         bit-identical to a solo ``operator.solve(b, tol=bucket,
-        method=method)``.  Unfingerprintable matrices fall back to an
-        uncoalesced solo solve.  Cancelling the returned awaitable (or
-        timing it out via ``asyncio.wait_for``) abandons only this request;
-        the rest of its batch is unaffected.
+        method=method)``.  Unfingerprintable matrices raise
+        :class:`ValueError` (see :meth:`register`).  Cancelling the returned
+        awaitable (or timing it out via ``asyncio.wait_for``) abandons only
+        this request; the rest of its batch is unaffected.
         """
         if self._loop is None or self._batcher is None:
             raise RuntimeError("service not started (use 'async with service' or start())")
@@ -417,8 +415,6 @@ class SolverService:
         else:
             matrix = matrix_or_fingerprint
             fingerprint = chain_cache.fingerprint_matrix(matrix)
-            if fingerprint is None:
-                return await self._submit_uncoalesced(matrix, b, tol=tol, method=method)
             reg = self._lookup_registration(fingerprint)
             if reg is None:
                 self.register(matrix, warm=False)
@@ -428,8 +424,7 @@ class SolverService:
         if b.shape[0] != reg.n:
             raise ValueError(f"b must have length {reg.n} (got {b.shape[0]})")
         eff_tol = bucket_tol(reg.solver_config.tol if tol is None else float(tol))
-        eff_method = reg.solver_config.method if method is None else method
-        get_method(eff_method)  # fail fast on unknown methods
+        eff_method = check_method(reg.solver_config.method if method is None else method)
 
         self._metrics.record_request()
         key = GroupKey(fingerprint=fingerprint, method=eff_method, tol=eff_tol)
@@ -554,43 +549,6 @@ class SolverService:
             column.stats["serving_latency_seconds"] = now - request.enqueued_at
             request.future.set_result(column)
             self._metrics.record_served(now - request.enqueued_at)
-
-    async def _submit_uncoalesced(
-        self,
-        matrix: MatrixInput,
-        b: np.ndarray,
-        *,
-        tol: Optional[float],
-        method: Optional[str],
-    ) -> SolveReport:
-        """Bypass path for unfingerprintable inputs: solo, uncached solve."""
-        assert self._loop is not None and self._executor is not None
-        b = _as_single_rhs(b)
-        eff_tol = bucket_tol(self._solver.tol if tol is None else float(tol))
-        eff_method = self._solver.method if method is None else method
-        get_method(eff_method)
-        self._metrics.record_request()
-        self._metrics.record_uncoalesced()
-        enqueued = time.monotonic()
-
-        def solo() -> SolveReport:
-            operator = factorize(
-                matrix, self._chain, self._solver, seed=self._seed, cache=False
-            )
-            return operator.solve(b, tol=eff_tol, method=eff_method)
-
-        try:
-            report = await self._loop.run_in_executor(self._executor, solo)
-        except Exception:
-            self._metrics.record_failed()
-            raise
-        now = time.monotonic()
-        report.stats["serving_batch_width"] = 1.0
-        report.stats["serving_coalesced"] = 0.0
-        report.stats["serving_cache_hit"] = 0.0
-        report.stats["serving_latency_seconds"] = now - enqueued
-        self._metrics.record_served(now - enqueued)
-        return report
 
     async def _sweep_loop(self) -> None:
         assert self.config.cache_sweep_seconds is not None

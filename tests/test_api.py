@@ -1,7 +1,7 @@
 """Tests for the factorize-once / solve-many API.
 
 Covers the config objects, the batched multi-RHS path (including the general
-SDD / Gremban route), the method registry, the process-level chain cache,
+SDD / Gremban route), the four solve methods, the process-level chain cache,
 and the ``repro.solve`` facade.
 """
 
@@ -17,8 +17,7 @@ from repro.core.chain_cache import (
     clear_chain_cache,
     set_chain_cache_capacity,
 )
-from repro.core.config import ChainConfig, SolverConfig
-from repro.core.methods import available_methods, get_method, register_method
+from repro.core.config import SOLVE_METHODS, ChainConfig, SolverConfig, check_method
 from repro.core.operator import LaplacianOperator, factorize
 from repro.graph import generators
 from repro.graph.laplacian import graph_to_laplacian
@@ -207,15 +206,18 @@ class TestBatchedSolve:
 
 class TestMethodRegistry:
     def test_builtin_methods_registered(self):
-        assert set(available_methods()) >= {"pcg", "chebyshev", "jacobi", "direct"}
+        assert SOLVE_METHODS == ("pcg", "chebyshev", "jacobi", "direct")
+        for method in SOLVE_METHODS:
+            assert check_method(method) == method
 
     def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            get_method("nope")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_method("pcg")(lambda *a: None)
+        with pytest.raises(ValueError, match="pcg, chebyshev, jacobi, direct"):
+            check_method("nope")
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            SolverConfig(method="nope")
+        g = generators.grid_2d(6, 6)
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            factorize(g, seed=0).solve(np.zeros(g.n), method="nope")
 
     @pytest.mark.parametrize("method", ["pcg", "chebyshev", "jacobi", "direct"])
     def test_every_method_solves(self, method):

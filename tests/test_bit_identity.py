@@ -7,15 +7,22 @@ a bit (``test_int64_index_config_matches_default_bit_for_bit``); a change
 that regroups sums on purpose re-pins the digests deliberately, keeps the
 iteration counts, and records its agreement with the previous solutions.
 
-The digests were last re-pinned when each chain level's elimination became
-one precompiled partial-Cholesky factor (``H·r`` forward, ``Hᵀ·u`` backward)
-instead of per-sub-round sweeps.  Against the sweep solutions the new ones
-agree to ``max|Δx|/max|x|`` of 7.8e-16 (``pcg_grid24``), 1.4e-15
-(``pcg_grid24_batch3``) and 6.5e-16 (``pcg_grid24_k16``).  ``cheb_wgrid20``
-agrees only to 4.9e-11, held to ≤1e-10 rather than ≤1e-12: its calibrated
-level-1 Chebyshev λ_min moves by 4.7e-6 relative (0.83340644 → 0.83340252)
-and the fixed-degree Chebyshev iteration carries that shift into the
-solution.
+The three ``pcg`` digests were last re-pinned when each chain level's
+elimination became one precompiled partial-Cholesky factor (``H·r``
+forward, ``Hᵀ·u`` backward) instead of per-sub-round sweeps.  Against the
+sweep solutions the new ones agree to ``max|Δx|/max|x|`` of 7.8e-16
+(``pcg_grid24``), 1.4e-15 (``pcg_grid24_batch3``) and 6.5e-16
+(``pcg_grid24_k16``).
+
+``cheb_wgrid20`` was re-pinned again when Chebyshev calibration stopped
+estimating a bound for level 0, which no solve reads (level 0 is
+preconditioned by the outer CG), and began estimating the other levels
+deepest first.  Level 0's estimate no longer draws from the RNG before
+level 1's, so the calibrated level-1 λ_min moves by 2.9e-5 relative
+(0.83340252 → 0.83342657) and the fixed-degree Chebyshev iteration carries
+that shift into the solution: the two agree to ``max|Δx|/max|x|`` of
+1.0e-12 at the same 30 iterations.  Chebyshev digests are held to ≤1e-10
+agreement across deliberate re-pins, not ≤1e-12, for this reason.
 
 The RNG state flows sequentially through the workloads, so the recipe is
 order-sensitive by construction (that is part of what is pinned).
@@ -42,7 +49,7 @@ PINNED = {
         53,
     ),
     "cheb_wgrid20": (
-        "283008b62f1bdf294357c29dfab09bafd09592a179be9fcece84a95338f43e01",
+        "db33ada6f6c69c16ebcf7680e50111a2f736978167e23c669da51caba5757b67",
         30,
     ),
     "pcg_grid24_k16": (

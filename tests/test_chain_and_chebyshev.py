@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from repro.core.chain import build_chain, default_bottom_size
 from repro.core.chebyshev import chebyshev_apply, estimate_extreme_eigenvalues
+from repro.core.config import ChainConfig, SolverConfig
 from repro.graph import generators
 from repro.graph.laplacian import graph_to_laplacian
 from repro.pram.model import CostModel
@@ -43,7 +44,7 @@ class TestChainConstruction:
 
     def test_max_levels_respected(self):
         g = generators.grid_2d(24, 24)
-        chain = build_chain(g, seed=0, max_levels=2)
+        chain = build_chain(g, ChainConfig(max_levels=2), seed=0)
         assert chain.depth <= 2
 
     def test_small_graph_single_level(self):
@@ -60,7 +61,7 @@ class TestChainConstruction:
 
     def test_tree_only_ablation_builds(self):
         g = generators.grid_2d(16, 16)
-        chain = build_chain(g, seed=0, use_tree_only=True)
+        chain = build_chain(g, ChainConfig(use_tree_only=True), seed=0)
         assert chain.depth >= 1
 
     def test_cost_charged(self):
@@ -172,3 +173,35 @@ class TestEigenvalueEstimation:
         ident = sp.eye(n).tocsr()
         lo, hi = estimate_extreme_eigenvalues(lambda v: ident @ v, lambda v: v, n, seed=1)
         assert lo <= 1.0 <= hi * 1.5
+
+
+class TestChebyshevCalibration:
+    def test_calibrates_only_levels_chebyshev_reads(self, monkeypatch):
+        """Calibration estimates levels ``1 .. depth-2``, deepest first.
+
+        Level 0 is preconditioned by the outer CG and never runs inner
+        Chebyshev, so it needs no bound; every other level's estimate must
+        run through inner Chebyshev below it, never fall back to inner CG.
+        """
+        from repro.core import operator as operator_module
+
+        def no_inner_cg(*args, **kwargs):
+            raise AssertionError("Chebyshev calibration ran inner CG")
+
+        calls = []
+        estimate = operator_module.estimate_extreme_eigenvalues
+
+        def counting_estimate(*args, **kwargs):
+            calls.append(args[2])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(operator_module, "batched_conjugate_gradient", no_inner_cg)
+        monkeypatch.setattr(operator_module, "estimate_extreme_eigenvalues", counting_estimate)
+        op = operator_module.factorize(
+            generators.grid_2d(64, 64), solver=SolverConfig(method="chebyshev"), seed=11
+        )
+        assert op.depth >= 3
+        assert len(calls) == op.depth - 2
+        # Deepest level first: the estimated sizes grow towards the top.
+        assert calls == sorted(calls)
+        assert calls == [op.chain.levels[i].num_vertices for i in range(op.depth - 2, 0, -1)]

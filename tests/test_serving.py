@@ -43,7 +43,7 @@ def _pool(g, k: int, seed: int = 7):
 
 
 class _NoFingerprint(Graph):
-    """A graph the cache cannot key — exercises the uncoalesced bypass."""
+    """A graph the cache cannot key — the service must reject it."""
 
     def fingerprint(self):
         return None
@@ -308,23 +308,21 @@ class TestSyncWrapper:
 
 
 class TestFallbacksAndValidation:
-    def test_unfingerprintable_matrix_solves_uncoalesced(self):
+    def test_submit_rejects_unfingerprintable(self):
         g = generators.grid_2d(6, 6)
         nofp = _NoFingerprint(g.n, g.u, g.v, g.w)
         b = _pool(g, 1)[0]
-        ref = factorize(nofp, seed=0).solve(b, tol=1e-8)
         service = SolverService(ServiceConfig(window_seconds=0.01, max_batch=4))
 
         async def run():
             async with service:
-                return await service.submit(nofp, b, tol=1e-8)
+                with pytest.raises(ValueError, match="fingerprint"):
+                    await service.submit(nofp, b, tol=1e-8)
 
-        report = asyncio.run(run())
-        assert np.array_equal(report.x, ref.x)
-        assert report.stats["serving_coalesced"] == 0.0
+        asyncio.run(run())
         stats = service.stats()
-        assert stats.uncoalesced == 1
-        assert stats.served == 1
+        assert stats.requests == 0
+        assert stats.served == 0 and stats.failed == 0
         assert service.registered() == ()
         # The cache never saw the unfingerprintable matrix.
         assert chain_cache.chain_cache_stats().size == 0
