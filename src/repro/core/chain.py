@@ -12,8 +12,11 @@ A chain ``<A_1 = A, B_1, A_2, ..., A_d>`` is built by alternating
 
 The chain is terminated once the current graph has at most ``bottom_size``
 vertices — the paper's key observation for parallel depth is to stop at
-roughly ``m^(1/3)`` and solve the bottom level with a dense factorization
-(Fact 6.4) rather than recursing all the way down.
+roughly ``m^(1/3)`` and solve the bottom level exactly (Fact 6.4) rather
+than recursing all the way down.  Fact 6.4 states that exact solve as a
+dense factorization; here it is one grounded sparse LU
+(:class:`~repro.linalg.direct.FactorizedLaplacian`), the same engine the
+``direct`` solve method runs on the whole top-level Laplacian.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.sparsify import SparsifyResult, incremental_sparsify
 from repro.graph.graph import Graph
 from repro.graph.laplacian import graph_to_laplacian
 from repro.graph.union_find import connected_components_arrays
-from repro.linalg.direct import FactorizedLaplacian
+from repro.linalg.direct import ComponentProjector, FactorizedLaplacian
 from repro.pram.model import CostModel, log2ceil, null_cost
 from repro.util.dtypes import resolve_index_dtype, resolve_value_dtype
 from repro.util.memprof import StageMemoryTracker
@@ -86,9 +89,10 @@ class PreconditionerChain:
     """The full chain ``<A_1, B_1, A_2, ..., A_d>`` plus bottom-level factorization.
 
     The bottom level is held as a :class:`~repro.linalg.direct.FactorizedLaplacian`
-    (grounded sparse LU, factored once at construction); the explicit dense
-    pseudo-inverse remains available through :attr:`bottom_pseudoinverse`
-    for callers that need the matrix, computed lazily on first access.
+    (grounded sparse LU, factored once at construction); its
+    :meth:`~repro.linalg.direct.FactorizedLaplacian.solve` applies the
+    bottom Laplacian's pseudo-inverse, and its ``projector`` is the bottom
+    level's null-space projector.
     """
 
     levels: List[ChainLevel]
@@ -96,11 +100,6 @@ class PreconditionerChain:
     #: Mostly-float diagnostics; ``index_dtype`` / ``value_dtype`` are the
     #: resolved dtype names and the ``mem_*`` keys are byte counts.
     stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def bottom_pseudoinverse(self) -> np.ndarray:
-        """Dense pseudo-inverse of the bottom Laplacian (lazy)."""
-        return self.bottom_solver.pseudoinverse()
 
     @property
     def depth(self) -> int:
@@ -304,12 +303,11 @@ def build_chain(
     t0 = time.perf_counter()
     with mem.stage("bottom"):
         _, bottom_labels = connected_components_arrays(bottom.graph.n, bottom.graph.u, bottom.graph.v)
-        bottom_solver = FactorizedLaplacian(bottom.laplacian, bottom_labels)
+        bottom_solver = FactorizedLaplacian(bottom.laplacian, ComponentProjector(bottom_labels))
     timings["seconds_bottom"] += time.perf_counter() - t0
     # Sparse factorization of the grounded SPD bottom system: work is
     # charged as the factor fill, depth as the elimination-tree height bound
-    # O(log^2 n) (Fact 6.4's dense n^3 is the fallback the sparse factor
-    # replaces).
+    # O(log^2 n) (the sparse factor replaces Fact 6.4's dense n^3).
     cost.charge(
         work=float(max(bottom_solver.factor_nnz, bottom.num_vertices)),
         depth=log2ceil(bottom.num_vertices) ** 2,

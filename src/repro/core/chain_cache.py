@@ -34,7 +34,7 @@ reason in :func:`chain_cache_stats`:
   LRU — the least-recently-*used* entry goes first.
 * **Byte budget** (:func:`set_chain_cache_budget`, default unlimited): the
   resident set is bounded by the *estimated* memory of the cached chains
-  (CSR Laplacians, compiled transfer arrays, bottom factors — see
+  (CSR Laplacians, compiled transfer arrays, projectors — see
   :func:`estimate_operator_bytes`), again evicting LRU-first.  The single
   most-recent entry is always retained even if it alone exceeds the budget,
   so an over-budget graph still gets factorize-once/solve-many behaviour.
@@ -50,10 +50,10 @@ Concurrency: both the *table* (lock-guarded here) and the cached
 :class:`~repro.core.operator.LaplacianOperator` objects are safe to share
 across threads.  ``solve`` is re-entrant — every call charges a private
 :class:`~repro.pram.model.CostModel`, and the operator's lazy
-initializers (Chebyshev bounds, the dense/Jacobi baselines) are serialized
-by a setup lock — so a hit can hand the same operator to any number of
-concurrent callers and each solve reports the same ``x``/``work``/``depth``
-bit for bit as a serial run.  A multi-threaded service therefore wants
+initializers (Chebyshev bounds, the ``direct`` factor, the Jacobi
+diagonal) are serialized by a setup lock — so a hit can hand the same
+operator to any number of concurrent callers and each solve reports the
+same ``x``/``work``/``depth`` bit for bit as a serial run.  A multi-threaded service therefore wants
 exactly this cache: factorize once (``cache=True``, integer seed) and serve
 every request thread from the shared operator.
 
@@ -268,10 +268,10 @@ def estimate_operator_bytes(operator) -> int:
 
     Sums the ``nbytes`` of every distinct ndarray reachable from the
     operator — the chain's CSR Laplacians, the compiled transfer factors,
-    the bottom-level factor, the graph edge arrays, and the null-space
-    projectors.  An estimate (Python object overhead is ignored), but it
-    tracks the quantities that actually dominate: the per-level sparse
-    arrays.
+    the graph edge arrays, and the null-space projectors.  An estimate
+    (Python object overhead is ignored) that tracks the per-level sparse
+    arrays; the SuperLU ``L``/``U`` of the bottom factor (and of a built
+    ``direct`` factor) live outside NumPy and are not counted.
     """
     return int(sum(a.nbytes for a in _iter_ndarrays(operator)))
 

@@ -27,8 +27,10 @@ from repro.util.dtypes import INDEX_DTYPE_NAMES, VALUE_DTYPE_NAMES
 
 #: The solve methods: ``"pcg"`` and ``"chebyshev"`` run outer CG
 #: preconditioned by the chain (inner CG or inner Chebyshev, Lemma 6.7);
-#: ``"jacobi"`` (diagonal-preconditioned CG) and ``"direct"`` (dense
-#: pseudo-inverse) are the :mod:`repro.linalg` baselines.
+#: ``"jacobi"`` (diagonal-preconditioned CG) and ``"direct"`` (one exact
+#: solve with a grounded sparse LU of the whole top-level Laplacian, the
+#: :class:`~repro.linalg.direct.FactorizedLaplacian` the chain uses at its
+#: bottom) are the :mod:`repro.linalg` baselines.
 SOLVE_METHODS = ("pcg", "chebyshev", "jacobi", "direct")
 
 
@@ -149,7 +151,8 @@ class SolverConfig:
     method:
         One of :data:`SOLVE_METHODS`: ``"pcg"`` (default) and
         ``"chebyshev"`` use the preconditioner chain; ``"jacobi"`` and
-        ``"direct"`` are the :mod:`repro.linalg` baselines.
+        ``"direct"`` (sparse LU of the top-level Laplacian) are the
+        :mod:`repro.linalg` baselines.
     inner_iterations:
         Iterations per chain level; ``None`` selects the paper's
         ``ceil(sqrt(kappa))``.

@@ -24,7 +24,9 @@ The solve method is one of four fixed names
 (:data:`~repro.core.config.SOLVE_METHODS`): ``pcg`` and ``chebyshev`` run
 outer CG preconditioned by the chain (inner CG or inner Chebyshev),
 ``jacobi`` runs the same outer CG with a diagonal preconditioner, and
-``direct`` applies the dense pseudo-inverse.
+``direct`` applies one grounded sparse LU of the whole top-level Laplacian
+(:class:`~repro.linalg.direct.FactorizedLaplacian`, the engine of the
+chain's bottom level).
 
 Concurrency: :meth:`LaplacianOperator.solve` is **re-entrant**.  Every call
 charges a private :class:`~repro.pram.model.CostModel` (a child of the
@@ -32,8 +34,8 @@ operator's model) that is passed down the recursion; all per-solve charging
 (outer iterations, inner smoothing, elimination transfers, bottom solves)
 goes to it, never to shared operator state, so concurrent solves on one
 operator return bit-identical ``x``/``work``/``depth`` to serial runs.  The
-one-time lazy initializers (Chebyshev bound calibration, the dense
-pseudo-inverse and Jacobi baselines) are guarded by a setup lock and charge
+one-time lazy initializers (Chebyshev bound calibration, the ``direct``
+factor and the Jacobi diagonal) are guarded by a setup lock and charge
 the operator's *setup* accounting — their cost never appears in any
 :class:`SolveReport`, cold start or warm.
 """
@@ -61,9 +63,8 @@ from repro.graph.laplacian import (
     sdd_to_laplacian,
 )
 from repro.linalg.cg import BatchedCGResult, batched_conjugate_gradient
-from repro.linalg.direct import laplacian_pseudoinverse
+from repro.linalg.direct import ComponentProjector, FactorizedLaplacian
 from repro.linalg.jacobi import jacobi_preconditioner
-from repro.linalg.norms import column_means
 from repro.pram.model import CostModel, log2ceil
 from repro.pram.primitives import charge_elimination_transfer
 from repro.util.rng import RngLike, as_rng
@@ -161,49 +162,6 @@ class SolveReport:
         return reports
 
 
-class _ComponentProjector:
-    """Removal of the per-connected-component mean (Laplacian null space).
-
-    Built once per graph at factorization time; applies to ``(n,)`` vectors
-    and ``(n, k)`` blocks alike.  This sits on the solver's hottest path
-    (twice per outer iteration plus once per chain level per preconditioner
-    application), so the common connected case reduces to a plain mean and
-    the multi-component case uses a precomputed sparse accumulator instead
-    of an unbuffered scatter-add.
-    """
-
-    __slots__ = ("labels", "counts", "_single", "_accumulator")
-
-    def __init__(self, labels: np.ndarray) -> None:
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.counts = np.bincount(self.labels).astype(float)
-        self._single = self.counts.shape[0] <= 1
-        if self._single:
-            self._accumulator = None
-        else:
-            n = self.labels.shape[0]
-            self._accumulator = sp.csr_matrix(
-                (np.ones(n), (self.labels, np.arange(n))),
-                shape=(self.counts.shape[0], n),
-            )
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if self._single:
-            # column_means (not v.mean) so the projection rounds identically
-            # for every batch width — part of the batched == looped
-            # bit-for-bit contract (see repro.linalg.norms).
-            if v.ndim == 1:
-                return v - v.mean()
-            return v - column_means(v)
-        # Per-component sums keep the sparse accumulator (tiny output, off
-        # the elementwise hot path).
-        sums = self._accumulator @ v
-        if v.ndim == 1:
-            return v - (sums / self.counts)[self.labels]
-        return v - (sums / self.counts[:, None])[self.labels]
-
-
 class LaplacianOperator:
     """A factorized SDD system supporting repeated (batched) solves.
 
@@ -255,19 +213,22 @@ class LaplacianOperator:
         self.inner_iterations = solver_config.resolve_inner_iterations(chain_config.kappa)
 
         # Null-space projectors, hoisted into construction-time state: one
-        # for the (possibly Gremban-expanded) top-level graph and one per
-        # chain level.
+        # for the (possibly Gremban-expanded) top-level graph, which level 0
+        # shares, and one per inner level 1 .. depth-2 (the levels whose
+        # projector a solve reads); the bottom level's comes with its factor.
         _, labels = connected_components(graph)
-        self._projector = _ComponentProjector(labels)
-        self._level_projectors: List[_ComponentProjector] = []
-        for level in chain.levels:
-            _, lvl_labels = connected_components(level.graph)
-            self._level_projectors.append(_ComponentProjector(lvl_labels))
+        self._projector = ComponentProjector(labels)
+        self._level_projectors: List[ComponentProjector] = [self._projector] + [
+            ComponentProjector(connected_components(level.graph)[1])
+            for level in chain.levels[1:-1]
+        ]
+        if chain.depth > 1:
+            self._level_projectors.append(chain.bottom_solver.projector)
 
         # One-time lazy state, shared by every solve once initialized:
         # Chebyshev bounds (Lemma 6.7) — calibrated eagerly when the
         # configured method is "chebyshev", on demand otherwise — plus the
-        # dense pseudo-inverse and diagonal preconditioner baselines.  The
+        # ``direct`` factor and the diagonal preconditioner.  The
         # setup lock serializes cold-start initialization so concurrent
         # solves neither race the fills nor duplicate the work; the
         # accounting lock serializes merges into the cumulative cost model.
@@ -275,7 +236,7 @@ class LaplacianOperator:
         self._accounting_lock = threading.Lock()
         self._chebyshev_bounds: List[Optional[Tuple[float, float]]] = [None] * chain.depth
         self._chebyshev_ready = False
-        self._dense_pinv: Optional[np.ndarray] = None
+        self._direct_factor: Optional[FactorizedLaplacian] = None
         self._jacobi_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
         self.setup_work = cost.work
@@ -322,7 +283,7 @@ class LaplacianOperator:
     def _charge_setup(self, work: float, depth: float) -> None:
         """Fold one-time lazy-initializer cost into the setup accounting.
 
-        Lazy setup (Chebyshev calibration, the dense baseline factorization)
+        Lazy setup (Chebyshev calibration, the ``direct`` factorization)
         is charged here — to the operator, never to a solve context — so a
         solve's reported ``work``/``depth`` is identical whether or not it
         happened to be the call that triggered initialization.
@@ -348,15 +309,23 @@ class LaplacianOperator:
                     self._jacobi_apply = apply
         return self._jacobi_apply
 
-    def dense_pseudoinverse(self) -> np.ndarray:
-        """Dense pseudo-inverse of the (reduced) Laplacian (baseline)."""
-        if self._dense_pinv is None:
+    def direct_factor(self) -> FactorizedLaplacian:
+        """Grounded sparse LU of the (reduced) top-level Laplacian (``direct``).
+
+        Built from :attr:`laplacian` itself, never from the chain's bottom
+        factor: a patched operator (:meth:`update`) keeps its pre-edit
+        bottom level, which at depth 1 is the stale top level.  Charged like
+        :func:`~repro.core.chain.build_chain`'s bottom factor.
+        """
+        if self._direct_factor is None:
             with self._setup_lock:
-                if self._dense_pinv is None:
-                    pinv = laplacian_pseudoinverse(self.laplacian)
-                    self._charge_setup(float(self.graph.n) ** 3, float(self.graph.n))
-                    self._dense_pinv = pinv
-        return self._dense_pinv
+                if self._direct_factor is None:
+                    factor = FactorizedLaplacian(self.laplacian, self._projector)
+                    self._charge_setup(
+                        float(max(factor.factor_nnz, factor.n)), log2ceil(factor.n) ** 2
+                    )
+                    self._direct_factor = factor
+        return self._direct_factor
 
     def ensure_chebyshev_bounds(self) -> None:
         """Estimate the spectral bounds inner Chebyshev reads (Lemma 6.7).
@@ -396,15 +365,17 @@ class LaplacianOperator:
     # ------------------------------------------------------------------ #
     # recursive preconditioner (batched)
     # ------------------------------------------------------------------ #
-    def _solve_bottom(self, b: np.ndarray, cost: CostModel) -> np.ndarray:
-        solver = self.chain.bottom_solver
+    @staticmethod
+    def _apply_factor(
+        factor: FactorizedLaplacian, b: np.ndarray, cost: CostModel
+    ) -> np.ndarray:
+        """Apply a sparse factor's ``L^+``: two triangular sweeps per column."""
         width = b.shape[1] if b.ndim == 2 else 1
-        # Two triangular sweeps over the sparse factor per column.
         cost.charge(
-            work=float(max(solver.factor_nnz, solver.n)) * width,
-            depth=math.log2(max(solver.n, 2)),
+            work=float(max(factor.factor_nnz, factor.n)) * width,
+            depth=math.log2(max(factor.n, 2)),
         )
-        return solver.solve(b)
+        return factor.solve(b)
 
     def _apply_preconditioner(
         self, level_index: int, r: np.ndarray, inner: str, cost: CostModel
@@ -429,7 +400,7 @@ class LaplacianOperator:
     ) -> np.ndarray:
         """Approximately solve ``A_i x = b`` with the fixed per-level budget."""
         if level_index >= self.chain.depth - 1:
-            return self._solve_bottom(b, cost)
+            return self._apply_factor(self.chain.bottom_solver, b, cost)
         level = self.chain.levels[level_index]
         lap = level.laplacian
         project = self._level_projectors[level_index]
@@ -472,19 +443,16 @@ class LaplacianOperator:
             self.ensure_chebyshev_bounds()
         if self.chain.depth > 1:
             return lambda r: self._apply_preconditioner(0, r, method, cost)
-        return lambda b: self._solve_bottom(b, cost)
+        return lambda b: self._apply_factor(self.chain.bottom_solver, b, cost)
 
     def _solve_direct(self, rhs: np.ndarray, tol: float, cost: CostModel) -> BatchedCGResult:
-        """Dense pseudo-inverse solve (Fact 6.4 machinery as a baseline).
+        """One exact application of the top-level sparse factor.
 
-        The one-time dense factorization is charged to the setup accounting
-        inside :meth:`dense_pseudoinverse`; only the per-application cost
-        lands on ``cost``.
+        The one-time factorization is charged to the setup accounting inside
+        :meth:`direct_factor`; only the triangular sweeps land on ``cost``.
         """
-        pinv = self.dense_pseudoinverse()
-        x = pinv @ rhs
+        x = self._apply_factor(self.direct_factor(), rhs, cost)
         k = rhs.shape[1]
-        cost.charge(work=float(pinv.shape[0]) ** 2 * k, depth=np.log2(max(pinv.shape[0], 2)))
         b_norm = np.linalg.norm(rhs, axis=0)
         residual = np.linalg.norm(self.laplacian @ x - rhs, axis=0)
         res = np.where(b_norm > 0, residual / np.where(b_norm > 0, b_norm, 1.0), 0.0)

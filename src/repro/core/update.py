@@ -282,9 +282,10 @@ def update_operator(
         damage=accumulated,
     )
 
-    # The constructor re-derives the top and per-level null-space
-    # projectors and the Chebyshev bound slots (re-calibrated lazily — or
-    # eagerly for the chebyshev method).
+    # The constructor re-derives the top and inner-level null-space
+    # projectors (the bottom's comes with its reused factor) and the
+    # Chebyshev bound slots (re-calibrated lazily — or eagerly for the
+    # chebyshev method).
     model = CostModel()
     model.charge(
         work=float(max(new_graph.num_edges, 1)),

@@ -219,17 +219,6 @@ def sdd_to_laplacian(matrix: sp.spmatrix, tol: float = 1e-12) -> GrembanReductio
     return GrembanReduction(laplacian=sp.csr_matrix(lap), n=n, trivial=False)
 
 
-def laplacian_nullspace_projector(n: int) -> np.ndarray:
-    """Return a function-friendly constant vector for range projection.
-
-    For a connected graph the Laplacian null space is spanned by the all-ones
-    vector; projecting right-hand sides and solutions onto its orthogonal
-    complement (i.e. subtracting the mean) keeps iterative methods well
-    defined.
-    """
-    return np.full(n, 1.0 / np.sqrt(n))
-
-
 def project_out_nullspace(x: np.ndarray) -> np.ndarray:
     """Subtract the mean (projection onto the range of a connected Laplacian)."""
     x = np.asarray(x, dtype=float)

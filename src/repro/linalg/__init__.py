@@ -1,9 +1,9 @@
 """Shared linear algebra: norms, iterative methods, and baseline solvers.
 
 These are the comparators the benchmarks measure the paper's solver against
-(plain CG, Jacobi-preconditioned CG, dense/sparse direct solves) plus the
-building blocks the solver itself uses (A-norms, operator wrappers with
-matvec counting).
+(plain CG, Jacobi-preconditioned CG, sparse direct solves; the dense
+pseudo-inverse is a test oracle) plus the building blocks the solver itself
+uses (A-norms, operator wrappers with matvec counting).
 """
 
 from repro.linalg.norms import a_norm, a_norm_error, relative_a_norm_error, residual_norm

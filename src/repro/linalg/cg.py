@@ -4,7 +4,8 @@ Used both as the baseline solver in the benchmarks and as the outer/inner
 iteration of the recursive preconditioned solver (the paper analyzes
 preconditioned Chebyshev for its depth bounds; CG has the same
 ``sqrt(kappa)`` convergence and needs no eigenvalue estimates, which is the
-standard practical choice — see DESIGN.md substitutions).
+standard practical choice — the paper's inner Chebyshev iteration remains
+available as the ``chebyshev`` solve method).
 
 :func:`batched_conjugate_gradient` runs ``k`` *independent* CG recurrences in
 lockstep on an ``(n, k)`` block of right-hand sides.  Because the recurrences

@@ -4,8 +4,8 @@ The paper's algorithms are built from a handful of classic work-efficient
 PRAM primitives (map, reduce, scan/prefix-sum, filter/pack, integer sort).
 These helpers charge the textbook work/depth of each primitive to a
 :class:`~repro.pram.model.CostModel`.  The actual data movement is done with
-NumPy (which is the "simulate the parallel machine with vectorized
-sequential code" substitution documented in DESIGN.md).
+NumPy: the parallel machine is simulated with vectorized sequential code,
+and its work/depth is what these helpers charge.
 """
 
 from __future__ import annotations

@@ -101,8 +101,8 @@ class RequestBatcher:
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0 (got {window_seconds})")
+        if not (math.isfinite(window_seconds) and window_seconds >= 0):
+            raise ValueError(f"window_seconds must be finite and >= 0 (got {window_seconds})")
         self.window_seconds = float(window_seconds)
         self.max_batch = int(max_batch)
         self._flush_cb = flush

@@ -34,6 +34,7 @@ Usage — synchronous callers (the service runs its own loop thread)::
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,8 +59,9 @@ class ServiceConfig:
     ----------
     window_seconds:
         Bounded coalescing latency: the first request of a group waits at
-        most this long before its batch is dispatched.  ``0`` disables
-        coalescing (every request solves solo — the baseline mode).
+        most this long before its batch is dispatched.  Finite and
+        ``>= 0``; ``0`` disables coalescing (every request solves solo —
+        the baseline mode).
     max_batch:
         Maximum coalesced width; a group dispatches immediately when it
         fills.  ``BENCH_solver.json`` shows the batched-speedup curve is
@@ -80,8 +82,12 @@ class ServiceConfig:
     cache_sweep_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0 (got {self.window_seconds})")
+        # A NaN or infinite window never expires: ``call_later`` would hold
+        # the first request of every group forever.
+        if not (math.isfinite(self.window_seconds) and self.window_seconds >= 0):
+            raise ValueError(
+                f"window_seconds must be finite and >= 0 (got {self.window_seconds})"
+            )
         if int(self.max_batch) < 1:
             raise ValueError(f"max_batch must be >= 1 (got {self.max_batch})")
         if int(self.executor_workers) < 1:

@@ -18,7 +18,8 @@ class ExperimentRow:
     Attributes
     ----------
     experiment:
-        Experiment id from DESIGN.md (e.g. ``"E2"``).
+        Experiment id (``"E1"`` … ``"E12"``; each ``benchmarks/bench_*.py``
+        module tags the rows of the experiments it runs, e.g. ``"E2"``).
     workload:
         Human-readable workload description (e.g. ``"grid 64x64"``).
     params:

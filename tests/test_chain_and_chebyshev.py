@@ -26,12 +26,15 @@ class TestChainConstruction:
         g = generators.grid_2d(16, 16)
         chain = build_chain(g, seed=0)
         bottom = chain.levels[-1]
-        assert chain.bottom_pseudoinverse.shape == (bottom.num_vertices, bottom.num_vertices)
-        # pinv really inverts the bottom Laplacian on its range
-        lap = bottom.laplacian.toarray()
+        solver = chain.bottom_solver
+        assert solver.n == bottom.num_vertices
+        # The bottom factor applies L^+: L (L^+ (L x)) = L x on the range.
+        lap = bottom.laplacian
         x = np.random.default_rng(0).standard_normal(bottom.num_vertices)
         x -= x.mean()
-        assert np.allclose(lap @ (chain.bottom_pseudoinverse @ (lap @ x)), lap @ x, atol=1e-6)
+        assert np.allclose(lap @ solver.solve(lap @ x), lap @ x, atol=1e-6)
+        block = np.random.default_rng(1).standard_normal((bottom.num_vertices, 3))
+        assert np.allclose(lap @ solver.solve(lap @ block), lap @ block, atol=1e-6)
 
     def test_intermediate_levels_have_preconditioners(self):
         g = generators.grid_2d(20, 20)

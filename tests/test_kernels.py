@@ -21,10 +21,11 @@ import scipy.sparse as sp
 from repro.core.chebyshev import chebyshev_apply
 from repro.core.config import SolverConfig
 from repro.core.elimination import greedy_elimination
-from repro.core.operator import _ComponentProjector, factorize
+from repro.core.operator import factorize
 from repro.core.transfer import compile_transfers
 from repro.graph.laplacian import graph_to_laplacian
 from repro.linalg.cg import batched_conjugate_gradient
+from repro.linalg.direct import ComponentProjector
 from repro.linalg.jacobi import jacobi_preconditioner
 from repro.linalg.norms import column_dot, column_means, column_norms
 
@@ -121,7 +122,7 @@ def test_subtract_gathered_matches_reference():
     rng = np.random.default_rng(21)
     n, k, comps = 97, 3, 5
     labels = rng.permutation(np.arange(n) % comps)
-    project = _ComponentProjector(labels)
+    project = ComponentProjector(labels)
     v = rng.standard_normal((n, k))
     out = project(v)
     expected = v.copy()

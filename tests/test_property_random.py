@@ -1,6 +1,6 @@
 """Property-style randomized tests over the seeded fuzz corpus.
 
-Two classes of properties the ISSUE pins down:
+Three classes of properties:
 
 * **Batched == looped, bit-for-bit.**  A batched ``(n, k)`` solve must be
   byte-identical to ``k`` independent ``(n,)`` solves — including on
@@ -9,8 +9,11 @@ Two classes of properties the ISSUE pins down:
   invariant (see :mod:`repro.linalg.norms`).
 * **Chain-cache accounting.**  ``chain_cache_stats()`` hit/miss counters
   must track repeated ``repro.solve`` calls exactly.
+* **``direct`` is exact.**  One application of the top-level sparse factor
+  meets a tight residual on every corpus graph (disconnected ones
+  included), on a Gremban-reduced SDD system and on a patched operator.
 
-Both are parameterized over corpus seeds so the suite re-fuzzes itself;
+They are parameterized over corpus seeds so the suite re-fuzzes itself;
 the large-corpus sweeps are marked ``slow`` (run with ``-m slow``).
 """
 
@@ -20,8 +23,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.config import ChainConfig
 from repro.core.operator import factorize
+from repro.graph import generators
 from repro.graph.components import connected_components
+from repro.graph.laplacian import graph_to_laplacian
+from repro.linalg.direct import ComponentProjector, solve_sdd_direct
 from repro.testing import dense_solve_laplacian, fuzz_corpus
 
 CORPUS_SEEDS = [0, 1, 2]
@@ -74,6 +81,49 @@ def test_solve_matches_dense_oracle(corpus_seed):
             diff[mask] -= diff[mask].mean()
         scale = max(float(np.abs(ref).max()), 1e-12)
         assert np.abs(diff).max() <= 1e-8 * scale, case.name
+
+
+DIRECT_TOL = 1e-12
+
+
+def _direct_systems(source):
+    """``(name, operator, matrix, b)`` systems ``direct`` must solve exactly.
+
+    ``matrix`` is the system the operator solves *now*.  For the patched
+    depth-1 operator that is the mutated Laplacian, which its chain's bottom
+    factor (built before the edit) no longer matches.
+    """
+    if source == "sdd":
+        mat, b = generators.weighted_sdd_system(60, 150, seed=2)
+        return [("gremban", factorize(mat, seed=2), mat, b)]
+    if source == "patched":
+        g = generators.grid_2d(12, 12)
+        op = factorize(g, ChainConfig(max_levels=1), seed=0)
+        edits = repro.EdgeEdits.reweights(np.arange(0, g.num_edges, 38), np.full(7, 4.0))
+        patched, report = op.update(edits)
+        assert report.strategy == "patched" and patched.depth == 1
+        b = np.random.default_rng(0).standard_normal(g.n)
+        return [("patched", patched, graph_to_laplacian(patched.graph), b - b.mean())]
+    systems = []
+    for case in fuzz_corpus(source):
+        g = case.graph
+        project = ComponentProjector(connected_components(g)[1])
+        b = project(np.random.default_rng(source).standard_normal((g.n, 2)))
+        systems.append((case.name, factorize(g, seed=0), graph_to_laplacian(g), b))
+    return systems
+
+
+@pytest.mark.parametrize("source", CORPUS_SEEDS + ["sdd", "patched"])
+def test_direct_is_exact(source):
+    """``direct`` is one exact sparse solve of the operator's current system."""
+    for name, op, matrix, b in _direct_systems(source):
+        report = op.solve(b, tol=DIRECT_TOL, method="direct")
+        assert report.converged and report.iterations == 1, name
+        residual = np.linalg.norm(matrix @ report.x - b, axis=0)
+        assert np.all(residual <= DIRECT_TOL * np.linalg.norm(b, axis=0)), name
+        if source == "sdd":
+            x_ref = solve_sdd_direct(matrix, b)
+            assert np.linalg.norm(report.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
 class TestChainCacheStats:

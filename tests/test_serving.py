@@ -23,7 +23,7 @@ from repro.core.operator import factorize
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.graph.laplacian import graph_to_laplacian
-from repro.serving import ServiceConfig, SolverService, bucket_tol
+from repro.serving import RequestBatcher, ServiceConfig, SolverService, bucket_tol
 
 
 @pytest.fixture(autouse=True)
@@ -382,6 +382,14 @@ class TestFallbacksAndValidation:
             ServiceConfig(executor_workers=0)
         with pytest.raises(ValueError):
             ServiceConfig(cache_sweep_seconds=0.0)
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -1.0])
+    def test_window_must_be_finite_and_nonnegative(self, window):
+        """A NaN or infinite window would arm a timer that never fires."""
+        with pytest.raises(ValueError, match="window_seconds"):
+            ServiceConfig(window_seconds=window)
+        with pytest.raises(ValueError, match="window_seconds"):
+            RequestBatcher(window_seconds=window, max_batch=4, flush=lambda key, requests: None)
 
 
 class TestCacheIntegration:
