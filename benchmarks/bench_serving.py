@@ -3,7 +3,7 @@
 Drives many concurrent closed-loop asyncio clients through
 :class:`repro.serving.SolverService` — mixed graphs, tolerances, and
 methods — and measures what coalescing buys: solves/sec, p50/p99 end-to-end
-latency, achieved batch widths, and chain-cache hit rates, against a
+latency and achieved batch widths, against a
 *no-coalescing baseline* (the same service with ``max_batch=1``,
 ``window_seconds=0``, i.e. every request solved solo through the same
 executor).  Every served result is asserted **bit-identical** to a solo
@@ -125,11 +125,9 @@ def _run_side(
     for combo in combos:
         combo["fingerprint"] = fingerprints[combo["graph"]]
 
-    cache_before = chain_cache.chain_cache_stats()
     wall, latencies = asyncio.run(
         _drive(service, jobs_by_client, combos, pools, references)
     )
-    cache_after = chain_cache.chain_cache_stats()
     stats = service.stats()
     total = sum(len(jobs) for jobs in jobs_by_client)
     assert stats.served == total and stats.failed == 0
@@ -144,9 +142,6 @@ def _run_side(
         "mean_batch_width": stats.mean_batch_width,
         "max_batch_width": stats.max_batch_width,
         "batch_width_histogram": {str(k): v for k, v in stats.batch_width_histogram.items()},
-        "operator_cache_hit_rate": stats.cache_hit_rate,
-        "chain_cache_hits_delta": cache_after.hits - cache_before.hits,
-        "chain_cache_misses_delta": cache_after.misses - cache_before.misses,
         "bit_identical_to_solo": True,  # _drive raised otherwise
     }
 
@@ -171,8 +166,9 @@ def _scenario(
     pools = {g: _rhs_pool(graph, pool_size, seed=100 + g) for g, graph in graphs.items()}
 
     # Solo references (and lazy-initializer warmup) on the cached operators —
-    # the service resolves the same chain-cache entries, so "bit-identical to
-    # a solo solve" is exactly `op.solve(b, tol=bucket, method=m)` on these.
+    # the service's registrations factorize through the same chain-cache
+    # entries, so "bit-identical to a solo solve" is exactly
+    # `op.solve(b, tol=bucket, method=m)` on these.
     references: Dict[Tuple[int, int], np.ndarray] = {}
     for combo_index, combo in enumerate(combos):
         op = factorize(graphs[combo["graph"]], seed=seed, cache=True)
@@ -285,7 +281,7 @@ def collect_payload(
         )
     return {
         "experiment": "serving",
-        "schema_version": 3,
+        "schema_version": 4,
         "side": side,
         "clients": clients,
         "window_seconds": window_seconds,
@@ -339,8 +335,7 @@ def main(argv=None) -> int:
             f"  coalesced : {co['solves_per_second']:8.1f} solves/s  "
             f"p50 {co['latency']['p50_seconds'] * 1e3:7.1f}ms  "
             f"p99 {co['latency']['p99_seconds'] * 1e3:7.1f}ms  "
-            f"mean width {co['mean_batch_width']:.1f}  "
-            f"cache hit {co['operator_cache_hit_rate']:.0%}"
+            f"mean width {co['mean_batch_width']:.1f}"
         )
         print(
             f"  baseline  : {base['solves_per_second']:8.1f} solves/s  "

@@ -96,7 +96,7 @@ def main() -> None:
     cache = repro.chain_cache_stats()
     print(
         f"chain cache: {cache.hits} hits / {cache.misses} misses, "
-        f"{cache.size} entries, ~{cache.stored_bytes / 1024:.0f} KiB resident"
+        f"{cache.size} entries"
     )
 
 

@@ -12,8 +12,8 @@ Public API highlights
 * :class:`repro.SolverService` — the micro-batching serving layer
   (:mod:`repro.serving`): an asyncio front-end that coalesces concurrent
   single-RHS requests on the same fingerprinted graph into one batched
-  solve under a bounded latency window, backed by the byte-budgeted /
-  TTL'd chain cache.
+  solve under a bounded latency window; each registration owns its
+  factorized operator.
 * :class:`repro.ChainConfig` / :class:`repro.SolverConfig` — frozen
   configuration objects (chain construction vs. iteration strategy:
   ``pcg``, ``chebyshev``, and the ``jacobi`` / ``direct`` baselines).
@@ -60,9 +60,7 @@ from repro.core.update import UpdateReport
 from repro.core.chain_cache import (
     chain_cache_stats,
     clear_chain_cache,
-    set_chain_cache_budget,
     set_chain_cache_capacity,
-    set_chain_cache_ttl,
 )
 from repro.api import solve
 from repro.serving import ServiceConfig, ServiceStats, SolverService
@@ -94,8 +92,6 @@ __all__ = [
     "chain_cache_stats",
     "clear_chain_cache",
     "set_chain_cache_capacity",
-    "set_chain_cache_budget",
-    "set_chain_cache_ttl",
     "SolverService",
     "ServiceConfig",
     "ServiceStats",

@@ -27,9 +27,7 @@ from repro.apps.spectral import fiedler_vector, spectral_embedding
 from repro.core.chain_cache import (
     chain_cache_stats,
     clear_chain_cache,
-    set_chain_cache_budget,
     set_chain_cache_capacity,
-    set_chain_cache_ttl,
 )
 from repro.core.config import ChainConfig, SolverConfig
 from repro.core.operator import (
@@ -59,8 +57,6 @@ __all__ = [
     "chain_cache_stats",
     "clear_chain_cache",
     "set_chain_cache_capacity",
-    "set_chain_cache_budget",
-    "set_chain_cache_ttl",
     "ResistanceOracle",
     "effective_resistance_pairs",
     "harmonic_interpolation",

@@ -26,8 +26,8 @@
 * :mod:`~repro.core.operator` — the public ``factorize`` →
   ``LaplacianOperator.solve`` lifecycle (Theorem 1.1), with batched
   multi-RHS support.
-* :mod:`~repro.core.chain_cache` — process-level cache of factorized
-  operators keyed by graph fingerprint + config.
+* :mod:`~repro.core.chain_cache` — process-level LRU memo of factorized
+  operators keyed by graph fingerprint + config + seed.
 """
 
 from repro.core.ball_growing import grow_balls, BallGrowth
@@ -63,7 +63,6 @@ from repro.core.update import UpdateReport, update_operator
 from repro.core.chain_cache import (
     chain_cache_stats,
     clear_chain_cache,
-    invalidate_fingerprint,
     set_chain_cache_capacity,
     ChainCacheStats,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "update_operator",
     "chain_cache_stats",
     "clear_chain_cache",
-    "invalidate_fingerprint",
     "set_chain_cache_capacity",
     "ChainCacheStats",
     "SolveReport",

@@ -1,11 +1,11 @@
-"""Process-level cache of factorized operators (chain reuse across calls).
+"""Process-level LRU memo of factorized operators (chain reuse across calls).
 
 Building a preconditioner chain is the expensive phase of Theorem 1.1; many
 workloads (the electrical-flow max-flow loop, repeated ``repro.solve`` calls
-against a fixed system, and the micro-batching :mod:`repro.serving` service)
-ask for the *same* matrix under the *same* configuration again and again.
-This module memoizes :func:`repro.core.operator.factorize` results in a
-bounded table keyed by
+against a fixed system, the resistance oracle) ask for the *same* matrix
+under the *same* configuration again and again.  This module memoizes
+:func:`repro.core.operator.factorize` results in a fixed-capacity LRU table
+keyed by
 
 ``(graph fingerprint, ChainConfig, SolverConfig, integer seed)``
 
@@ -18,33 +18,17 @@ cache; :func:`~repro.core.operator.factorize` treats a ``None`` key as
 "solve uncached", never as an error (:mod:`repro.serving` cannot key such
 inputs and rejects them).
 
+Keys are content fingerprints, so an entry never goes stale: a mutated
+graph has a different fingerprint, hence a different key, and the old
+graph's entry stays correct for the old graph.  The only eviction is LRU
+beyond :func:`set_chain_cache_capacity` (default 32 entries).
+
 A cached operator carries the *compiled* chain: every
 :class:`~repro.core.chain.ChainLevel` holds its precompiled
 :class:`~repro.core.transfer.TransferOperators` (built once at factorize
 time), so a cache hit skips both the chain construction and the transfer
 compilation.  The compiled transfer arrays are immutable and safely shared
 between callers.
-
-Eviction policy
----------------
-Three independent bounds, all enforced at ``store`` time and observable per
-reason in :func:`chain_cache_stats`:
-
-* **Entry capacity** (:func:`set_chain_cache_capacity`, default 32): classic
-  LRU — the least-recently-*used* entry goes first.
-* **Byte budget** (:func:`set_chain_cache_budget`, default unlimited): the
-  resident set is bounded by the *estimated* memory of the cached chains
-  (CSR Laplacians, compiled transfer arrays, projectors — see
-  :func:`estimate_operator_bytes`), again evicting LRU-first.  The single
-  most-recent entry is always retained even if it alone exceeds the budget,
-  so an over-budget graph still gets factorize-once/solve-many behaviour.
-* **TTL** (:func:`set_chain_cache_ttl`, default none): entries idle longer
-  than the TTL (no lookup hit since) are expired on the next table
-  operation, or eagerly via :func:`sweep_expired` (the serving layer's
-  periodic sweep calls this).
-
-:func:`evict` drops one key on demand (targeted invalidation — e.g. the
-serving layer unregistering a graph).
 
 Concurrency: both the *table* (lock-guarded here) and the cached
 :class:`~repro.core.operator.LaplacianOperator` objects are safe to share
@@ -53,9 +37,7 @@ across threads.  ``solve`` is re-entrant — every call charges a private
 initializers (Chebyshev bounds, the ``direct`` factor, the Jacobi
 diagonal) are serialized by a setup lock — so a hit can hand the same
 operator to any number of concurrent callers and each solve reports the
-same ``x``/``work``/``depth`` bit for bit as a serial run.  A multi-threaded service therefore wants
-exactly this cache: factorize once (``cache=True``, integer seed) and serve
-every request thread from the shared operator.
+same ``x``/``work``/``depth`` bit for bit as a serial run.
 
 The only table-level nondeterminism under concurrency is benign: two
 threads that *miss* on the same key both build the (identical) operator and
@@ -66,10 +48,9 @@ warm the cache first when exact accounting matters.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, Optional, Tuple
+from typing import Hashable, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,86 +61,26 @@ from repro.graph.graph import Graph
 #: Default capacity of the process-level cache (LRU eviction beyond this).
 DEFAULT_CAPACITY = 32
 
-#: Clock used for TTL accounting (monotonic; module-level so tests can
-#: substitute a fake clock without sleeping).
-_now = time.monotonic
-
 _lock = threading.Lock()
 _capacity = DEFAULT_CAPACITY
-_byte_budget: Optional[int] = None
-_ttl_seconds: Optional[float] = None
-
 _hits = 0
 _misses = 0
-_stored_bytes = 0
-_cumulative_stored_bytes = 0
-_lookup_count = 0
-_lookup_seconds = 0.0
-_evictions: Dict[str, int] = {"capacity": 0, "bytes": 0, "ttl": 0, "explicit": 0}
-
-
-class _Entry:
-    """One cached operator plus its bookkeeping."""
-
-    __slots__ = ("operator", "nbytes", "inserted_at", "last_access", "hits")
-
-    def __init__(self, operator, nbytes: int, now: float) -> None:
-        self.operator = operator
-        self.nbytes = int(nbytes)
-        self.inserted_at = now
-        self.last_access = now
-        self.hits = 0
-
-
-_entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-
-
-@dataclass(frozen=True)
-class KeyStats:
-    """Per-key counters exposed by :func:`chain_cache_stats`.
-
-    ``inserted_at``/``last_access`` are clock readings from the module's
-    monotonic ``_now`` (stable between snapshots when the entry is not
-    touched, so two stats snapshots straddling cache-bypassing work compare
-    equal); age is ``_now() - inserted_at``.
-    """
-
-    hits: int
-    stored_bytes: int
-    inserted_at: float
-    last_access: float
+_evictions = 0
+_entries: "OrderedDict[Hashable, object]" = OrderedDict()
 
 
 @dataclass(frozen=True)
 class ChainCacheStats:
     """Counters describing the process-level chain cache.
 
-    ``hits``/``misses``/``size``/``capacity`` keep their historical meaning.
-    ``evictions`` is the total across every cause; the ``evictions_*``
-    fields split it by cause (LRU capacity, byte budget, TTL expiry, and
-    explicit :func:`evict` calls).  ``stored_bytes`` is the estimated
-    resident footprint of the live entries; ``cumulative_stored_bytes``
-    counts every byte ever stored (monotone — eviction does not subtract).
-    ``lookup_seconds``/``lookup_count`` accumulate table-lookup latency.
-    ``per_key`` maps each live key to its :class:`KeyStats`.
+    ``evictions`` counts entries dropped by the LRU capacity bound.
     """
 
     hits: int
     misses: int
     size: int
     capacity: int
-    evictions: int = 0
-    evictions_capacity: int = 0
-    evictions_bytes: int = 0
-    evictions_ttl: int = 0
-    evictions_explicit: int = 0
-    stored_bytes: int = 0
-    cumulative_stored_bytes: int = 0
-    byte_budget: Optional[int] = None
-    ttl_seconds: Optional[float] = None
-    lookup_count: int = 0
-    lookup_seconds: float = 0.0
-    per_key: Tuple[Tuple[Hashable, KeyStats], ...] = ()
+    evictions: int
 
 
 # --------------------------------------------------------------------------- #
@@ -279,133 +200,42 @@ def estimate_operator_bytes(operator) -> int:
 # --------------------------------------------------------------------------- #
 # table operations
 # --------------------------------------------------------------------------- #
-def _evict_locked(key: Hashable, reason: str) -> None:
-    global _stored_bytes
-    entry = _entries.pop(key)
-    _stored_bytes -= entry.nbytes
-    _evictions[reason] += 1
-
-
-def _expire_locked(now: float) -> int:
-    """Drop every entry idle longer than the TTL; returns the count."""
-    if _ttl_seconds is None:
-        return 0
-    stale = [k for k, e in _entries.items() if now - e.last_access > _ttl_seconds]
-    for key in stale:
-        _evict_locked(key, "ttl")
-    return len(stale)
-
-
-def _enforce_bounds_locked() -> None:
+def _evict_lru_locked() -> None:
+    global _evictions
     while len(_entries) > _capacity:
-        _evict_locked(next(iter(_entries)), "capacity")
-    if _byte_budget is not None:
-        # Keep at least the most-recent entry so an over-budget chain still
-        # amortizes its factorization (documented in the module docstring).
-        while _stored_bytes > _byte_budget and len(_entries) > 1:
-            _evict_locked(next(iter(_entries)), "bytes")
+        _entries.popitem(last=False)
+        _evictions += 1
 
 
 def lookup(key: Hashable):
     """Return the cached operator for ``key`` (marking it most-recent), or ``None``."""
-    global _hits, _misses, _lookup_count, _lookup_seconds
-    t0 = time.perf_counter()
-    now = _now()
+    global _hits, _misses
     with _lock:
-        _expire_locked(now)
-        entry = _entries.get(key)
-        if entry is None:
+        operator = _entries.get(key)
+        if operator is None:
             _misses += 1
-            result = None
         else:
             _entries.move_to_end(key)
-            entry.last_access = now
-            entry.hits += 1
             _hits += 1
-            result = entry.operator
-        _lookup_count += 1
-        _lookup_seconds += time.perf_counter() - t0
-    return result
+        return operator
 
 
-def store(key: Hashable, operator, *, nbytes: Optional[int] = None) -> None:
-    """Insert ``operator`` under ``key``, evicting expired/LRU/over-budget entries.
-
-    ``nbytes`` overrides the :func:`estimate_operator_bytes` estimate (used
-    by tests; real callers let the estimate stand).
-    """
-    global _stored_bytes, _cumulative_stored_bytes
-    if nbytes is None:
-        nbytes = estimate_operator_bytes(operator)
-    now = _now()
+def store(key: Hashable, operator) -> None:
+    """Insert ``operator`` under ``key`` as most-recent, evicting LRU entries."""
     with _lock:
-        _expire_locked(now)
-        old = _entries.pop(key, None)
-        if old is not None:
-            _stored_bytes -= old.nbytes
-        entry = _Entry(operator, nbytes, now)
-        _entries[key] = entry
-        _stored_bytes += entry.nbytes
-        _cumulative_stored_bytes += entry.nbytes
-        _enforce_bounds_locked()
-
-
-def evict(key: Hashable) -> bool:
-    """Drop ``key`` from the cache (targeted invalidation).
-
-    Returns ``True`` if an entry was removed.  Used by the serving layer to
-    unregister a graph and by tests to force cold paths.
-    """
-    with _lock:
-        if key not in _entries:
-            return False
-        _evict_locked(key, "explicit")
-        return True
-
-
-def invalidate_fingerprint(fingerprint: str) -> int:
-    """Drop every cached operator keyed under ``fingerprint``.
-
-    A graph mutation makes every cached factorization of the *old* graph
-    stale from the mutating caller's point of view: the serving layer (and
-    :func:`repro.core.update.update_operator` when asked) calls this after
-    an update so the superseded fingerprint cannot keep serving hits across
-    every (config, seed) combination it was stored under.  Returns the
-    number of entries evicted (counted as explicit evictions).
-    """
-    with _lock:
-        stale = [
-            k for k in _entries if isinstance(k, tuple) and k and k[0] == fingerprint
-        ]
-        for key in stale:
-            _evict_locked(key, "explicit")
-        return len(stale)
-
-
-def sweep_expired() -> int:
-    """Eagerly drop every TTL-expired entry; returns the number evicted.
-
-    The serving layer's periodic cache sweep calls this so idle chains are
-    reclaimed even when no traffic touches the table.
-    """
-    with _lock:
-        return _expire_locked(_now())
+        _entries[key] = operator
+        _entries.move_to_end(key)
+        _evict_lru_locked()
 
 
 def clear_chain_cache() -> None:
     """Drop every cached operator and reset all counters."""
-    global _hits, _misses, _stored_bytes, _cumulative_stored_bytes
-    global _lookup_count, _lookup_seconds
+    global _hits, _misses, _evictions
     with _lock:
         _entries.clear()
         _hits = 0
         _misses = 0
-        _stored_bytes = 0
-        _cumulative_stored_bytes = 0
-        _lookup_count = 0
-        _lookup_seconds = 0.0
-        for reason in _evictions:
-            _evictions[reason] = 0
+        _evictions = 0
 
 
 def set_chain_cache_capacity(capacity: int) -> None:
@@ -415,65 +245,16 @@ def set_chain_cache_capacity(capacity: int) -> None:
         raise ValueError("cache capacity must be >= 1")
     with _lock:
         _capacity = int(capacity)
-        _enforce_bounds_locked()
-
-
-def set_chain_cache_budget(max_bytes: Optional[int]) -> None:
-    """Bound the resident set by estimated bytes (``None`` = unlimited).
-
-    Enforced immediately and at every subsequent ``store``; the single
-    most-recent entry is retained even if it alone exceeds the budget.
-    """
-    global _byte_budget
-    if max_bytes is not None and int(max_bytes) < 0:
-        raise ValueError("byte budget must be >= 0 or None")
-    with _lock:
-        _byte_budget = None if max_bytes is None else int(max_bytes)
-        _enforce_bounds_locked()
-
-
-def set_chain_cache_ttl(seconds: Optional[float]) -> None:
-    """Expire entries idle longer than ``seconds`` (``None`` disables TTL)."""
-    global _ttl_seconds
-    if seconds is not None and not float(seconds) > 0:
-        raise ValueError("ttl must be positive or None")
-    with _lock:
-        _ttl_seconds = None if seconds is None else float(seconds)
-        _expire_locked(_now())
+        _evict_lru_locked()
 
 
 def chain_cache_stats() -> ChainCacheStats:
-    """Current hit/miss/size/eviction/byte/latency counters."""
-    now = _now()
+    """Current hit/miss/size/capacity/eviction counters."""
     with _lock:
-        _expire_locked(now)
-        per_key = tuple(
-            (
-                key,
-                KeyStats(
-                    hits=entry.hits,
-                    stored_bytes=entry.nbytes,
-                    inserted_at=entry.inserted_at,
-                    last_access=entry.last_access,
-                ),
-            )
-            for key, entry in _entries.items()
-        )
         return ChainCacheStats(
             hits=_hits,
             misses=_misses,
             size=len(_entries),
             capacity=_capacity,
-            evictions=sum(_evictions.values()),
-            evictions_capacity=_evictions["capacity"],
-            evictions_bytes=_evictions["bytes"],
-            evictions_ttl=_evictions["ttl"],
-            evictions_explicit=_evictions["explicit"],
-            stored_bytes=_stored_bytes,
-            cumulative_stored_bytes=_cumulative_stored_bytes,
-            byte_budget=_byte_budget,
-            ttl_seconds=_ttl_seconds,
-            lookup_count=_lookup_count,
-            lookup_seconds=_lookup_seconds,
-            per_key=per_key,
+            evictions=_evictions,
         )

@@ -43,6 +43,17 @@ def check_method(method: str) -> str:
     return method
 
 
+def check_tol(tol: float) -> float:
+    """Return ``tol`` if it is a finite positive residual target, else raise.
+
+    ``0`` would stall in the stagnation break, and ``inf`` would stop at
+    the first residual check with ``x = 0``, reported as converged.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite (got {tol})")
+    return tol
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Immutable parameters of preconditioner-chain construction.
@@ -174,8 +185,7 @@ class SolverConfig:
             raise ValueError(
                 f"inner_iterations must be >= 1 or None (got {self.inner_iterations})"
             )
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive (got {self.tol})")
+        check_tol(self.tol)
         if int(self.max_iterations) < 1:
             raise ValueError(f"max_iterations must be >= 1 (got {self.max_iterations})")
 

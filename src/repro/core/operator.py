@@ -52,7 +52,7 @@ import scipy.sparse as sp
 
 from repro.core.chain import PreconditionerChain, build_chain
 from repro.core.chebyshev import chebyshev_apply, estimate_extreme_eigenvalues
-from repro.core.config import ChainConfig, SolverConfig, check_method
+from repro.core.config import ChainConfig, SolverConfig, check_method, check_tol
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.laplacian import (
@@ -490,10 +490,9 @@ class LaplacianOperator:
             entries raise :class:`ValueError`.
         tol:
             Relative 2-norm residual target; defaults to the
-            :class:`SolverConfig` value.  Must be positive — the same
-            validation :class:`SolverConfig` applies at construction time
-            (``tol=0.0`` would otherwise stall in the stagnation break and
-            report a misleading unconverged result).
+            :class:`SolverConfig` value.  Must be finite and positive — the
+            same :func:`~repro.core.config.check_tol` validation
+            :class:`SolverConfig` applies at construction time.
         max_iterations:
             Cap on outer iterations; defaults to the :class:`SolverConfig`
             value.  Must be ``>= 1``.
@@ -520,9 +519,7 @@ class LaplacianOperator:
         width = rhs_block.shape[1]
 
         cfg = self.solver_config
-        tol = cfg.tol if tol is None else float(tol)
-        if not tol > 0:
-            raise ValueError(f"tol must be positive (got {tol})")
+        tol = check_tol(cfg.tol if tol is None else float(tol))
         max_iterations = cfg.max_iterations if max_iterations is None else int(max_iterations)
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1 (got {max_iterations})")
@@ -588,13 +585,7 @@ class LaplacianOperator:
             self.cost.sequential(cost)
         return report
 
-    def update(
-        self,
-        edits,
-        *,
-        cache: bool = False,
-        invalidate_cache: bool = False,
-    ):
+    def update(self, edits):
         """Apply a batched edge edit to this factorized system.
 
         Patches the factorization in place of a full re-``factorize()``:
@@ -613,14 +604,11 @@ class LaplacianOperator:
         (``self`` for an empty batch; otherwise a new object — ``self``
         stays valid for in-flight solves against the old graph) and an
         :class:`~repro.core.update.UpdateReport` describing what happened.
-        See :func:`repro.core.update.update_operator` for the ``cache`` /
-        ``invalidate_cache`` semantics.
+        Neither the patched nor the rebuilt operator enters the chain cache.
         """
         from repro.core.update import update_operator
 
-        return update_operator(
-            self, edits, cache=cache, invalidate_cache=invalidate_cache
-        )
+        return update_operator(self, edits)
 
     def _empty_report(self) -> SolveReport:
         """The trivial report for a ``(n, 0)`` batched right-hand side."""

@@ -36,10 +36,12 @@ rebuild), and once it exceeds
 :attr:`~repro.core.config.ChainConfig.update_rebuild_fraction` the operator
 is rebuilt with a fresh ``factorize()`` — **bit-identical** to factorizing
 the mutated graph from scratch, because the operator remembers its original
-integer seed.  Patched operators are never inserted into the process-level
-chain cache (a cache entry must be bit-for-bit identical to a fresh
-factorization — see :mod:`repro.core.chain_cache`); rebuilt operators may
-be cached normally.
+integer seed.  Neither path touches the process-level chain cache: a
+patched chain is not what ``factorize()`` would build for the mutated graph,
+so it must never sit under that graph's content-addressed key, and the
+rebuild is an uncached ``factorize()``.  Entries of the pre-update graph
+stay valid, because their key is the old graph's content fingerprint (see
+:mod:`repro.core.chain_cache`).
 """
 
 from __future__ import annotations
@@ -149,11 +151,7 @@ def _batch_damage(state: _ChainEdgeState, edits: "EdgeEdits") -> float:
 
 
 def update_operator(
-    op: "LaplacianOperator",
-    edits: "EdgeEdits",
-    *,
-    cache: bool = False,
-    invalidate_cache: bool = False,
+    op: "LaplacianOperator", edits: "EdgeEdits"
 ) -> Tuple["LaplacianOperator", UpdateReport]:
     """Apply one edit batch to a factorized operator (patch or rebuild).
 
@@ -166,14 +164,6 @@ def update_operator(
     edits:
         The :class:`~repro.graph.edits.EdgeEdits` batch, expressed against
         ``op.graph``'s current edge numbering.
-    cache:
-        Forwarded to ``factorize()`` on the rebuild path only — a rebuilt
-        operator is bit-identical to a fresh factorization, so it may enter
-        the process-level chain cache.  Patched operators never do.
-    invalidate_cache:
-        Evict every chain-cache entry keyed under the *pre-update* graph's
-        fingerprint (the serving layer passes ``True``; library callers who
-        still use the old graph elsewhere keep the default).
 
     Returns
     -------
@@ -182,7 +172,6 @@ def update_operator(
         otherwise a new operator (the original stays valid for in-flight
         solves against the old graph) — and the :class:`UpdateReport`.
     """
-    from repro.core import chain_cache
     from repro.core.operator import LaplacianOperator, factorize
 
     if op.reduction is not None:
@@ -226,8 +215,6 @@ def update_operator(
             f"accumulated damage {accumulated:.4f} exceeds threshold {threshold:.4f}"
         )
 
-    old_fingerprint = op.graph.fingerprint() if invalidate_cache else None
-
     if rebuild_reason is not None:
         new_graph = op.graph.apply_edits(edits)
         new_op = factorize(
@@ -235,10 +222,7 @@ def update_operator(
             op.chain_config,
             op.solver_config,
             seed=op.factorize_seed,
-            cache=cache,
         )
-        if old_fingerprint is not None:
-            chain_cache.invalidate_fingerprint(old_fingerprint)
         return new_op, UpdateReport(
             strategy="rebuilt",
             reason=rebuild_reason,
@@ -304,8 +288,6 @@ def update_operator(
         factorize_seed=op.factorize_seed,
     )
     new_op._update_state = new_state
-    if old_fingerprint is not None:
-        chain_cache.invalidate_fingerprint(old_fingerprint)
     return new_op, UpdateReport(
         strategy="patched",
         reason="damage below threshold",

@@ -7,11 +7,11 @@ identical results) into solves/sec under concurrent load:
 * :class:`SolverService` — the asyncio front-end: ``submit()`` single-RHS
   requests (plus a ``solve_sync`` wrapper for threaded callers), coalesced
   per (graph fingerprint, method, tolerance bucket) into one batched solve
-  under a bounded latency window, backed by the byte-budgeted / TTL'd
-  chain cache.
-* :class:`ServiceConfig` — window / batch-width / executor / sweep knobs.
+  under a bounded latency window; each registration owns its factorized
+  operator.
+* :class:`ServiceConfig` — window / batch-width / executor knobs.
 * :class:`ServiceStats` — the metrics snapshot (latency percentiles,
-  batch-width histogram, cache hit rate) from ``service.stats()``.
+  batch-width histogram, update counters) from ``service.stats()``.
 * :func:`bucket_tol` / :class:`GroupKey` — the coalescing identity.
 
 See ``benchmarks/bench_serving.py`` for the load-test harness and the

@@ -30,6 +30,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.config import check_tol
+
 
 def bucket_tol(tol: float) -> float:
     """Quantize a tolerance to its decade floor (``5e-7 -> 1e-7``).
@@ -37,11 +39,10 @@ def bucket_tol(tol: float) -> float:
     The bucket is always ``<= tol``, so coalesced solves are at least as
     tight as every member request asked for.  Exact powers of ten map to
     themselves (a small epsilon guards ``log10`` rounding, e.g.
-    ``log10(1e-7)`` evaluating just below ``-7``).
+    ``log10(1e-7)`` evaluating just below ``-7``).  A ``tol`` that is not
+    finite and positive raises :class:`ValueError`.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive (got {tol})")
-    return 10.0 ** math.floor(math.log10(tol) + 1e-12)
+    return 10.0 ** math.floor(math.log10(check_tol(tol)) + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,16 @@ class PendingRequest:
     """One enqueued single-RHS solve awaiting its batch.
 
     ``registration`` is the service's registration object captured at
-    submit time: the batch solve resolves its operator through it, so a
-    registry swap (``SolverService.update`` re-registering a mutated graph)
-    can never strand a pending or in-flight request — it keeps solving
-    against the graph it was submitted for.
+    submit time: the batch solve takes its operator from it, so a registry
+    swap (``SolverService.update`` re-registering a mutated graph, or
+    ``unregister``) can never strand a pending or in-flight request — it
+    keeps solving against the graph it was submitted for.
     """
 
     b: np.ndarray
     future: "asyncio.Future"
     enqueued_at: float
-    registration: object = None
+    registration: object
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Micro-batching solver service: asyncio coalescing over the chain cache.
+"""Micro-batching solver service: asyncio coalescing over registered operators.
 
 ``BENCH_solver.json``'s key lever is that a batched ``(n, k)`` solve is
 5–7x faster than ``k`` looped solves at ``k = 8`` — and, since PR 4,
@@ -11,10 +11,13 @@ per caller via :meth:`~repro.core.operator.SolveReport.split` — so every
 caller receives exactly the answer (and per-request work/depth accounting)
 a solo solve would have produced.
 
-Operators are *not* pinned by the service: each batch looks its operator up
-in :mod:`repro.core.chain_cache` (byte-budgeted, TTL + LRU) and
-re-factorizes through the cache on a miss, so cache eviction is always
-survivable and hit rates are real.
+Each registration owns its operator: it is factorized at most once (at
+``register(warm=True)``, otherwise by the first batch), through the chain
+cache so a registration of an already-factorized (matrix, config, seed)
+shares that operator.  Batches never consult the cache again, so resident
+operators are bounded by the live registrations plus the cache's LRU
+capacity, and :meth:`SolverService.unregister` drops the service's
+reference.
 
 Usage — asyncio::
 
@@ -38,7 +41,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -70,16 +73,11 @@ class ServiceConfig:
         Threads in the solve executor.  Solves are GIL-bound today
         (``BENCH_concurrency.json``), so 1 worker loses no throughput; more
         workers reduce head-of-line blocking between *different* groups.
-    cache_sweep_seconds:
-        Period of the background chain-cache TTL sweep
-        (:func:`repro.core.chain_cache.sweep_expired`); ``None`` disables
-        the sweep task.
     """
 
     window_seconds: float = 0.004
     max_batch: int = 16
     executor_workers: int = 1
-    cache_sweep_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         # A NaN or infinite window never expires: ``call_later`` would hold
@@ -94,23 +92,37 @@ class ServiceConfig:
             raise ValueError(
                 f"executor_workers must be >= 1 (got {self.executor_workers})"
             )
-        if self.cache_sweep_seconds is not None and not self.cache_sweep_seconds > 0:
-            raise ValueError(
-                f"cache_sweep_seconds must be positive or None (got {self.cache_sweep_seconds})"
-            )
 
 
-@dataclass
+@dataclass(eq=False)
 class _Registration:
-    """Everything needed to (re-)factorize one registered matrix."""
+    """One registered matrix and the operator that serves it."""
 
     matrix: MatrixInput
     n: int
     chain_config: ChainConfig
     solver_config: SolverConfig
     seed: object
-    cache_key: Optional[Tuple]
-    pinned: Optional[LaplacianOperator] = None
+    factorized: Optional[LaplacianOperator] = None
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def operator(self) -> LaplacianOperator:
+        """The registration's operator, factorized on first use only.
+
+        The lock makes concurrent first batches (different tol buckets on
+        different executor threads) share one factorization.  Non-integer
+        seeds bypass the chain cache inside ``factorize``.
+        """
+        with self.lock:
+            if self.factorized is None:
+                self.factorized = factorize(
+                    self.matrix,
+                    self.chain_config,
+                    self.solver_config,
+                    seed=self.seed,
+                    cache=True,
+                )
+            return self.factorized
 
 
 def _as_single_rhs(b: np.ndarray) -> np.ndarray:
@@ -157,7 +169,6 @@ class SolverService:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[RequestBatcher] = None
         self._inflight: set = set()
-        self._sweep_task: Optional[asyncio.Task] = None
         self._thread: Optional[threading.Thread] = None
         self._thread_loop: Optional[asyncio.AbstractEventLoop] = None
 
@@ -175,14 +186,12 @@ class SolverService:
     ) -> str:
         """Register ``matrix`` for coalesced serving; returns its fingerprint.
 
-        ``warm=True`` factorizes immediately (through the chain cache) so
-        the first request pays no setup; ``warm=False`` defers
-        factorization to the first dispatched batch.  Matrices whose
+        The registration owns its operator.  ``warm=True`` factorizes it
+        now so the first request pays no setup; ``warm=False`` defers that
+        to the first dispatched batch.  Either way it is factorized once,
+        through the chain cache (integer seeds only).  Matrices whose
         :func:`~repro.core.chain_cache.fingerprint_matrix` is ``None``
         cannot be registered (or submitted) and raise :class:`ValueError`.
-        Non-integer seeds are not chain-cacheable; such
-        registrations factorize once and pin the operator in the registry
-        instead.
         """
         chain_cfg = chain if chain is not None else self._chain
         solver_cfg = solver if solver is not None else self._solver
@@ -193,33 +202,26 @@ class SolverService:
                 "matrix cannot be fingerprinted; solve it with "
                 "repro.factorize(...).solve instead"
             )
-        n = matrix.n if isinstance(matrix, Graph) else int(matrix.shape[0])
-        key = chain_cache.make_key(matrix, chain_cfg, solver_cfg, seed)
         reg = _Registration(
             matrix=matrix,
-            n=n,
+            n=matrix.n if isinstance(matrix, Graph) else int(matrix.shape[0]),
             chain_config=chain_cfg,
             solver_config=solver_cfg,
             seed=seed,
-            cache_key=key,
         )
-        if key is None:
-            reg.pinned = factorize(matrix, chain_cfg, solver_cfg, seed=seed, cache=False)
-        elif warm:
-            factorize(matrix, chain_cfg, solver_cfg, seed=seed, cache=True)
+        if warm:
+            reg.operator()
         with self._registry_lock:
             self._registry[fp] = reg
         return fp
 
     def unregister(self, fingerprint: str) -> bool:
-        """Drop a registration and evict its chain-cache entry (targeted)."""
+        """Drop a registration (and with it the service's operator reference).
+
+        Requests already submitted under ``fingerprint`` still complete.
+        """
         with self._registry_lock:
-            reg = self._registry.pop(fingerprint, None)
-        if reg is None:
-            return False
-        if reg.cache_key is not None:
-            chain_cache.evict(reg.cache_key)
-        return True
+            return self._registry.pop(fingerprint, None) is not None
 
     def update(self, fingerprint: str, edits) -> Tuple[str, object]:
         """Apply a batched edge edit to a registered graph; returns the new
@@ -233,55 +235,42 @@ class SolverService:
         mutated graph is re-registered under its new fingerprint.
 
         In-flight safety: requests already submitted under the old
-        fingerprint captured the old registration, which this method pins
-        to the old operator *before* swapping the registry and evicting the
-        old fingerprint's chain-cache entries — pending and in-flight
-        batches complete against the graph they were submitted for, while
-        new submissions use the new fingerprint.  An empty edit batch
-        changes nothing and returns the old fingerprint.
+        fingerprint captured the old registration, which keeps the old
+        operator — pending and in-flight batches complete against the graph
+        they were submitted for, while new submissions use the new
+        fingerprint.  The new registration owns the updated operator
+        (patched or rebuilt, never cached).  An empty edit batch changes
+        nothing and returns the old fingerprint.
 
-        Patched operators are pinned in the new registration (they must
-        never enter the content-addressed chain cache — a cache entry has
-        to be bit-identical to a fresh factorize); rebuilt operators with a
-        cacheable seed are cached normally, so eviction stays survivable.
+        The swap is published only if ``fingerprint`` still maps to the
+        registration this call updated; if a concurrent ``unregister`` or
+        ``update`` replaced it meanwhile, :class:`KeyError` is raised and no
+        update is recorded.
         """
         reg = self._lookup_registration(fingerprint)
         if reg is None:
             raise KeyError(f"unknown fingerprint {fingerprint!r}; register() it first")
-        operator, _ = self._operator_for(reg)
-        new_operator, report = operator.update(
-            edits, cache=reg.cache_key is not None, invalidate_cache=False
-        )
+        new_operator, report = reg.operator().update(edits)
         if report.strategy == "noop":
             return fingerprint, report
-        # Pin before unpublishing: a racing batch that captured (or looks
-        # up) the old registration must keep resolving the old operator
-        # even after its cache entries are evicted below.
-        reg.pinned = operator
-        reg.cache_key = None
         new_graph = new_operator.graph
         new_fp = chain_cache.fingerprint_matrix(new_graph)
-        new_key = (
-            chain_cache.make_key(
-                new_graph, reg.chain_config, reg.solver_config, reg.seed
-            )
-            if report.strategy == "rebuilt"
-            else None
-        )
         new_reg = _Registration(
             matrix=new_graph,
             n=new_graph.n,
             chain_config=reg.chain_config,
             solver_config=reg.solver_config,
             seed=reg.seed,
-            cache_key=new_key,
-            pinned=new_operator if new_key is None else None,
+            factorized=new_operator,
         )
         with self._registry_lock:
-            if self._registry.get(fingerprint) is reg:
-                del self._registry[fingerprint]
+            if self._registry.get(fingerprint) is not reg:
+                raise KeyError(
+                    f"fingerprint {fingerprint!r} was unregistered or updated "
+                    "while this update ran"
+                )
+            del self._registry[fingerprint]
             self._registry[new_fp] = new_reg
-        chain_cache.invalidate_fingerprint(fingerprint)
         self._metrics.record_update(rebuilt=report.strategy == "rebuilt")
         return new_fp, report
 
@@ -315,25 +304,16 @@ class SolverService:
             max_batch=self.config.max_batch,
             flush=self._dispatch_group,
         )
-        if self.config.cache_sweep_seconds is not None:
-            self._sweep_task = self._loop.create_task(self._sweep_loop())
         return self
 
     async def aclose(self) -> None:
-        """Drain pending batches, stop the sweep, release the executor."""
+        """Drain pending batches and release the executor."""
         if self._loop is None:
             return
         assert self._batcher is not None and self._executor is not None
         self._batcher.flush_all()
         while self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        if self._sweep_task is not None:
-            self._sweep_task.cancel()
-            try:
-                await self._sweep_task
-            except asyncio.CancelledError:
-                pass
-            self._sweep_task = None
         self._executor.shutdown(wait=True)
         self._loop = None
         self._executor = None
@@ -473,23 +453,6 @@ class SolverService:
         with self._registry_lock:
             return self._registry.get(fingerprint)
 
-    def _operator_for(self, reg: _Registration) -> Tuple[LaplacianOperator, bool]:
-        """The registration's operator, via the chain cache (hit flag second).
-
-        Runs on executor threads.  A cache miss (cold start or eviction)
-        re-factorizes *through* the cache so the next batch hits again.
-        """
-        if reg.cache_key is None:
-            assert reg.pinned is not None
-            return reg.pinned, True
-        operator = chain_cache.lookup(reg.cache_key)
-        if operator is not None:
-            return operator, True
-        operator = factorize(
-            reg.matrix, reg.chain_config, reg.solver_config, seed=reg.seed, cache=True
-        )
-        return operator, False
-
     def _dispatch_group(self, key: GroupKey, requests: List[PendingRequest]) -> None:
         """Batcher flush callback (event loop): launch the batch solve task."""
         live = []
@@ -507,29 +470,22 @@ class SolverService:
 
     def _solve_batch(
         self, key: GroupKey, live: List[PendingRequest]
-    ) -> Tuple[SolveReport, bool, float]:
+    ) -> Tuple[SolveReport, float]:
         """Executor-thread body: one batched solve over the group's columns."""
-        # Prefer the registration captured at submit time: it survives
-        # registry swaps (update/unregister), so a batch always solves the
-        # graph its members were submitted against.  Every member of a group
-        # shares the fingerprint, hence an equivalent registration.
-        reg = next(
-            (r.registration for r in live if r.registration is not None), None
-        )
-        if reg is None:
-            reg = self._lookup_registration(key.fingerprint)
-        if reg is None:
-            raise KeyError(f"fingerprint {key.fingerprint!r} unregistered mid-flight")
-        operator, cache_hit = self._operator_for(reg)
+        # The registration captured at submit time survives registry swaps
+        # (update/unregister), so a batch always solves the graph its
+        # members were submitted against.  Every member of a group shares
+        # the fingerprint, hence an equivalent registration.
+        operator = live[0].registration.operator()
         block = np.stack([request.b for request in live], axis=1)
         t0 = time.perf_counter()
         report = operator.solve(block, tol=key.tol, method=key.method)
-        return report, cache_hit, time.perf_counter() - t0
+        return report, time.perf_counter() - t0
 
     async def _run_batch(self, key: GroupKey, live: List[PendingRequest]) -> None:
         assert self._loop is not None and self._executor is not None
         try:
-            report, cache_hit, solve_seconds = await self._loop.run_in_executor(
+            report, solve_seconds = await self._loop.run_in_executor(
                 self._executor, self._solve_batch, key, live
             )
         except Exception as exc:
@@ -543,7 +499,7 @@ class SolverService:
             self._metrics.record_failed(failed)
             return
         width = len(live)
-        self._metrics.record_batch(width, cache_hit=cache_hit, solve_seconds=solve_seconds)
+        self._metrics.record_batch(width, solve_seconds=solve_seconds)
         now = time.monotonic()
         for request, column in zip(live, report.split()):
             if request.future.done():  # cancelled in flight; batch unaffected
@@ -551,13 +507,6 @@ class SolverService:
                 continue
             column.stats["serving_batch_width"] = float(width)
             column.stats["serving_coalesced"] = 1.0 if width >= 2 else 0.0
-            column.stats["serving_cache_hit"] = 1.0 if cache_hit else 0.0
             column.stats["serving_latency_seconds"] = now - request.enqueued_at
             request.future.set_result(column)
             self._metrics.record_served(now - request.enqueued_at)
-
-    async def _sweep_loop(self) -> None:
-        assert self.config.cache_sweep_seconds is not None
-        while True:
-            await asyncio.sleep(self.config.cache_sweep_seconds)
-            chain_cache.sweep_expired()

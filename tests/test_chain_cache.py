@@ -1,9 +1,9 @@
-"""Chain-cache policy tests: byte budget, TTL, eviction counters, evict().
+"""Chain-cache tests: LRU capacity, eviction counter, byte estimate, keys.
 
 The hit/miss accounting of the basic LRU behaviour is pinned in
-``test_property_random.py``/``test_api.py``; this module covers the serving
-upgrade — targeted eviction, the byte-size budget, idle-TTL expiry (driven
-by a fake clock, no sleeping), and the per-key/eviction/latency counters.
+``test_property_random.py``/``test_api.py``; this module covers the
+capacity eviction counter, same-key replacement, counter resets, the
+operator byte estimate, and unfingerprintable inputs.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ from repro.core.chain_cache import (
     chain_cache_stats,
     clear_chain_cache,
     estimate_operator_bytes,
-    evict,
     fingerprint_matrix,
     make_key,
-    set_chain_cache_budget,
     set_chain_cache_capacity,
-    set_chain_cache_ttl,
-    sweep_expired,
 )
 from repro.core.config import ChainConfig, SolverConfig
 from repro.core.operator import factorize
@@ -37,52 +33,15 @@ def fresh_cache():
     def reset():
         clear_chain_cache()
         set_chain_cache_capacity(DEFAULT_CAPACITY)
-        set_chain_cache_budget(None)
-        set_chain_cache_ttl(None)
 
     reset()
     yield
     reset()
 
 
-@pytest.fixture()
-def fake_clock(monkeypatch):
-    """Replace the cache's monotonic clock with a settable one."""
-    current = [0.0]
-    monkeypatch.setattr(chain_cache, "_now", lambda: current[0])
-
-    def advance(seconds: float) -> None:
-        current[0] += seconds
-
-    return advance
-
-
 def _grid_key(seed: int = 0):
     g = generators.grid_2d(5, 5)
     return g, make_key(g, ChainConfig(), SolverConfig(), seed)
-
-
-class TestTargetedEviction:
-    def test_evict_removes_entry_and_counts(self):
-        g, key = _grid_key()
-        factorize(g, seed=0, cache=True)
-        assert chain_cache_stats().size == 1
-        assert evict(key) is True
-        stats = chain_cache_stats()
-        assert stats.size == 0
-        assert stats.evictions_explicit == 1
-        assert stats.evictions == 1
-        # A second evict of the same key is a no-op.
-        assert evict(key) is False
-        assert chain_cache_stats().evictions_explicit == 1
-
-    def test_evicted_key_misses_then_refactorizes(self):
-        g, key = _grid_key()
-        op1 = factorize(g, seed=0, cache=True)
-        evict(key)
-        op2 = factorize(g, seed=0, cache=True)
-        assert op2 is not op1
-        assert factorize(g, seed=0, cache=True) is op2
 
 
 class TestCapacityAndBudget:
@@ -93,44 +52,25 @@ class TestCapacityAndBudget:
         factorize(g, seed=1, cache=True)
         stats = chain_cache_stats()
         assert stats.size == 1
-        assert stats.evictions_capacity == 1
+        assert stats.evictions == 1
 
-    def test_byte_budget_evicts_lru_first(self):
-        chain_cache.store(("k1",), object(), nbytes=100)
-        chain_cache.store(("k2",), object(), nbytes=100)
-        assert chain_cache_stats().stored_bytes == 200
-        set_chain_cache_budget(150)
-        stats = chain_cache_stats()
-        assert stats.stored_bytes == 100
-        assert stats.evictions_bytes == 1
-        assert [k for k, _ in stats.per_key] == [("k2",)]
-
-    def test_single_over_budget_entry_is_retained(self):
-        set_chain_cache_budget(150)
-        chain_cache.store(("small",), object(), nbytes=100)
-        chain_cache.store(("huge",), object(), nbytes=1000)
-        stats = chain_cache_stats()
-        # The newest entry survives even though it alone exceeds the budget;
-        # everything older is evicted.
-        assert stats.size == 1
-        assert stats.stored_bytes == 1000
-        assert [k for k, _ in stats.per_key] == [("huge",)]
-
-    def test_cumulative_stored_bytes_is_monotone(self):
-        chain_cache.store(("a",), object(), nbytes=70)
-        chain_cache.store(("b",), object(), nbytes=30)
-        evict(("a",))
-        stats = chain_cache_stats()
-        assert stats.stored_bytes == 30
-        assert stats.cumulative_stored_bytes == 100
+    def test_lookup_refreshes_lru_order(self):
+        set_chain_cache_capacity(2)
+        a, b, c = object(), object(), object()
+        chain_cache.store(("a",), a)
+        chain_cache.store(("b",), b)
+        assert chain_cache.lookup(("a",)) is a  # "b" is now least recent
+        chain_cache.store(("c",), c)
+        assert chain_cache.lookup(("b",)) is None
+        assert chain_cache.lookup(("a",)) is a
+        assert chain_cache.lookup(("c",)) is c
+        assert chain_cache_stats().evictions == 1
 
     def test_restore_same_key_replaces_bytes(self):
-        chain_cache.store(("a",), object(), nbytes=100)
-        chain_cache.store(("a",), object(), nbytes=250)
+        chain_cache.store(("a",), object())
+        chain_cache.store(("a",), object())
         stats = chain_cache_stats()
         assert stats.size == 1
-        assert stats.stored_bytes == 250
-        assert stats.cumulative_stored_bytes == 350
 
     def test_estimated_bytes_cover_chain_arrays(self):
         g = generators.grid_2d(6, 6)
@@ -143,83 +83,19 @@ class TestCapacityAndBudget:
         )
         estimate = estimate_operator_bytes(op)
         assert estimate >= lower_bound > 0
-        (_, key_stats), = chain_cache_stats().per_key
-        assert key_stats.stored_bytes == estimate
-
-
-class TestTTL:
-    def test_idle_entries_expire_on_lookup(self, fake_clock):
-        g, key = _grid_key()
-        set_chain_cache_ttl(10.0)
-        op = factorize(g, seed=0, cache=True)
-        fake_clock(5.0)
-        assert chain_cache.lookup(key) is op  # refreshes last_access
-        fake_clock(9.0)
-        assert chain_cache.lookup(key) is op  # idle 9 < 10
-        fake_clock(11.0)
-        assert chain_cache.lookup(key) is None
-        stats = chain_cache_stats()
-        assert stats.evictions_ttl == 1
-        assert stats.size == 0
-
-    def test_sweep_expired_reclaims_idle_entries(self, fake_clock):
-        set_chain_cache_ttl(10.0)
-        chain_cache.store(("a",), object(), nbytes=10)
-        fake_clock(4.0)
-        chain_cache.store(("b",), object(), nbytes=10)
-        fake_clock(8.0)  # a idle 12, b idle 8
-        assert sweep_expired() == 1
-        stats = chain_cache_stats()
-        assert [k for k, _ in stats.per_key] == [("b",)]
-        assert stats.evictions_ttl == 1
-
-    def test_disabling_ttl_stops_expiry(self, fake_clock):
-        set_chain_cache_ttl(10.0)
-        chain_cache.store(("a",), object(), nbytes=10)
-        set_chain_cache_ttl(None)
-        fake_clock(1000.0)
-        assert sweep_expired() == 0
-        assert chain_cache_stats().size == 1
 
 
 class TestCounters:
-    def test_per_key_hits(self):
-        g, key = _grid_key()
-        factorize(g, seed=0, cache=True)
-        factorize(g, seed=0, cache=True)
-        factorize(g, seed=0, cache=True)
-        ((stats_key, key_stats),) = chain_cache_stats().per_key
-        assert stats_key == key
-        assert key_stats.hits == 2
-
-    def test_lookup_latency_counters_accumulate(self):
-        chain_cache.store(("a",), object(), nbytes=10)
-        before = chain_cache_stats()
-        chain_cache.lookup(("a",))
-        chain_cache.lookup(("missing",))
-        after = chain_cache_stats()
-        assert after.lookup_count == before.lookup_count + 2
-        assert after.lookup_seconds >= before.lookup_seconds
-
     def test_clear_resets_everything(self):
         g, key = _grid_key()
         factorize(g, seed=0, cache=True)
         factorize(g, seed=0, cache=True)
-        evict(key)
         clear_chain_cache()
         stats = chain_cache_stats()
         assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
         assert stats.evictions == 0
-        assert stats.stored_bytes == 0
-        assert stats.cumulative_stored_bytes == 0
-        assert stats.lookup_count == 0
-        assert stats.per_key == ()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            set_chain_cache_budget(-1)
-        with pytest.raises(ValueError):
-            set_chain_cache_ttl(0.0)
         with pytest.raises(ValueError):
             set_chain_cache_capacity(0)
 
@@ -252,30 +128,3 @@ class TestUnfingerprintableInputs:
             before.size,
         )
 
-
-class TestFingerprintInvalidation:
-    def test_invalidate_evicts_every_config_variant(self):
-        """One fingerprint, several (config, seed) keys: all must go."""
-        g = generators.grid_2d(6, 6)
-        factorize(g, seed=0, cache=True)
-        factorize(g, seed=1, cache=True)
-        factorize(g, ChainConfig(max_levels=2), seed=0, cache=True)
-        other = generators.grid_2d(7, 7)
-        factorize(other, seed=0, cache=True)
-        assert chain_cache_stats().size == 4
-
-        evicted = chain_cache.invalidate_fingerprint(fingerprint_matrix(g))
-        assert evicted == 3
-        stats = chain_cache_stats()
-        assert stats.size == 1
-        assert stats.evictions_explicit == 3
-        # The unrelated fingerprint survived.
-        other_key = make_key(other, ChainConfig(), SolverConfig(), 0)
-        assert chain_cache.lookup(other_key) is not None
-
-    def test_invalidate_unknown_fingerprint_is_noop(self):
-        g = generators.grid_2d(5, 5)
-        factorize(g, seed=0, cache=True)
-        assert chain_cache.invalidate_fingerprint("deadbeef") == 0
-        assert chain_cache_stats().size == 1
-        assert chain_cache_stats().evictions_explicit == 0

@@ -276,3 +276,49 @@ class TestUpdateRacingSolves:
         x_upd = final_op.solve(rhs, tol=1e-10).x
         x_ref = fresh.solve(rhs, tol=1e-10).x
         assert np.max(np.abs(x_upd - x_ref)) <= 1e-8
+
+
+class TestServiceRegistrationConcurrency:
+    def test_8_first_batches_share_one_factorization(self, monkeypatch):
+        """Eight tol buckets of an unfactorized registration, eight workers.
+
+        Every first batch asks the registration for its operator at once;
+        exactly one factorizes and all eight solve on that operator.
+        """
+        import asyncio
+        import sys
+
+        from repro.serving import ServiceConfig, SolverService
+        from repro.serving import service as service_module
+
+        g, b = _problem(side=8, seed=3)
+        real_factorize = service_module.factorize
+        built = []
+
+        def counting_factorize(*args, **kwargs):
+            op = real_factorize(*args, **kwargs)
+            built.append(op)
+            return op
+
+        monkeypatch.setattr(service_module, "factorize", counting_factorize)
+        service = SolverService(
+            ServiceConfig(window_seconds=0.0, executor_workers=NUM_THREADS)
+        )
+        tols = [10.0 ** -(i + 1) for i in range(NUM_THREADS)]
+
+        async def run():
+            async with service:
+                return await asyncio.wait_for(
+                    asyncio.gather(*[service.submit(g, b, tol=t) for t in tols]), 60
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        for report, tol in zip(reports, tols):
+            _assert_report_matches(report, built[0].solve(b, tol=tol))
+        assert service.stats().batches == NUM_THREADS

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro
 from repro.core import chain_cache
-from repro.core.config import ChainConfig, SolverConfig
-from repro.core.operator import factorize
+from repro.core.operator import LaplacianOperator, factorize
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.graph.laplacian import graph_to_laplacian
@@ -380,8 +380,6 @@ class TestFallbacksAndValidation:
             ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServiceConfig(executor_workers=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(cache_sweep_seconds=0.0)
 
     @pytest.mark.parametrize("window", [float("nan"), float("inf"), -1.0])
     def test_window_must_be_finite_and_nonnegative(self, window):
@@ -392,60 +390,118 @@ class TestFallbacksAndValidation:
             RequestBatcher(window_seconds=window, max_batch=4, flush=lambda key, requests: None)
 
 
-class TestCacheIntegration:
-    def test_refactorizes_after_targeted_eviction(self):
-        g = generators.grid_2d(7, 7)
-        b = _pool(g, 1)[0]
-        ref = factorize(g, seed=0, cache=True).solve(b, tol=1e-8)
-        service = SolverService(ServiceConfig(window_seconds=0.01, max_batch=4))
+class TestOperatorOwnership:
+    """Each registration owns its operator; batches never consult the cache."""
+
+    def test_cleared_cache_adds_no_miss_and_keeps_bits(self):
+        g = generators.grid_2d(8, 8)
+        pool = _pool(g, 4)
+        service = SolverService(ServiceConfig(window_seconds=0.05, max_batch=4))
         fp = service.register(g, seed=0)
-        key = chain_cache.make_key(g, ChainConfig(), SolverConfig(), 0)
-        assert chain_cache.evict(key)
+        op = factorize(g, seed=0, cache=True)  # cache hit: the registration's operator
+        refs = [op.solve(b, tol=1e-8) for b in pool]
+        repro.clear_chain_cache()
 
         async def run():
             async with service:
-                return await service.submit(fp, b, tol=1e-8)
+                return await asyncio.gather(
+                    *[service.submit(fp, b, tol=1e-8) for b in pool]
+                )
 
-        report = asyncio.run(run())
-        assert np.array_equal(report.x, ref.x)
-        stats = service.stats()
-        assert stats.cache_misses == 1
-        # The re-factorization repopulated the cache.
-        assert chain_cache.lookup(key) is not None
+        reports = asyncio.run(run())
+        for report, ref in zip(reports, refs):
+            assert np.array_equal(report.x, ref.x)
+        stats = chain_cache.chain_cache_stats()
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
 
-    def test_unregister_evicts_cache_entry(self):
-        g = generators.grid_2d(6, 6)
-        service = SolverService()
+    def test_unregister_keeps_pending_requests_served(self):
+        g = generators.grid_2d(8, 8)
+        pool = _pool(g, 2)
+        op = factorize(g, seed=0)
+        refs = [op.solve(b, tol=1e-8) for b in pool]
+        service = SolverService(ServiceConfig(window_seconds=0.05, max_batch=4))
         fp = service.register(g, seed=0)
-        assert chain_cache.chain_cache_stats().size == 1
-        assert service.unregister(fp) is True
-        assert chain_cache.chain_cache_stats().size == 0
-        assert chain_cache.chain_cache_stats().evictions_explicit == 1
-        assert service.unregister(fp) is False
 
-    def test_ttl_sweep_task_reclaims_idle_chains(self):
-        g = generators.grid_2d(6, 6)
-        b = _pool(g, 1)[0]
+        async def run():
+            async with service:
+                futures = [
+                    asyncio.ensure_future(service.submit(fp, b, tol=1e-8))
+                    for b in pool
+                ]
+                await asyncio.sleep(0)  # both enqueued, window still open
+                assert service.unregister(fp) is True
+                return await asyncio.gather(*futures)
+
+        reports = asyncio.run(run())
+        for report, ref in zip(reports, refs):
+            assert np.array_equal(report.x, ref.x)
+        assert service.registered() == ()
+
+    def test_auto_registration_factorizes_once_across_workers(self, monkeypatch):
+        from repro.serving import service as service_module
+
+        g = generators.grid_2d(8, 8)
+        pool = _pool(g, 2)
+        real_factorize = service_module.factorize
+        calls = []
+
+        def slow_factorize(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            # Hold the first factorization until the other bucket's batch
+            # has reached its executor thread too.
+            time.sleep(0.05)
+            return real_factorize(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "factorize", slow_factorize)
         service = SolverService(
-            ServiceConfig(window_seconds=0.01, max_batch=4, cache_sweep_seconds=0.02)
+            ServiceConfig(window_seconds=0.02, max_batch=8, executor_workers=2)
         )
-        fp = service.register(g, seed=0)
-        chain_cache.set_chain_cache_ttl(0.03)
-        try:
 
-            async def run():
-                async with service:
-                    await asyncio.sleep(0.12)  # several sweep periods, no traffic
-                    assert chain_cache.chain_cache_stats().size == 0
-                    # Eviction is survivable: the next request re-factorizes.
-                    return await service.submit(fp, b, tol=1e-8)
+        async def run():
+            async with service:
+                return await asyncio.gather(
+                    service.submit(g, pool[0], tol=1e-8),
+                    service.submit(g, pool[1], tol=1e-6),
+                )
 
-            report = asyncio.run(run())
-        finally:
-            chain_cache.set_chain_cache_ttl(None)
-        assert report.converged
-        assert chain_cache.chain_cache_stats().evictions_ttl >= 1
-        assert service.stats().cache_misses >= 1
+        reports = asyncio.run(run())
+        assert len(calls) == 1
+        assert service.stats().batches == 2
+        assert chain_cache.chain_cache_stats().misses == 1
+        op = factorize(g, seed=0)
+        assert np.array_equal(reports[0].x, op.solve(pool[0], tol=1e-8).x)
+        assert np.array_equal(reports[1].x, op.solve(pool[1], tol=1e-6).x)
+
+    def test_generator_seeded_registration_serves_and_updates(self):
+        g = generators.grid_2d(8, 8)
+        pool = _pool(g, 3)
+        ref_op = factorize(g, seed=np.random.default_rng(11))
+        refs = [ref_op.solve(b, tol=1e-8) for b in pool]
+        edits = repro.EdgeEdits.reweights([0, 3], [4.0, 0.5])
+        mutated = g.apply_edits(edits)
+        service = SolverService(ServiceConfig(window_seconds=0.05, max_batch=3))
+        fp = service.register(g, seed=np.random.default_rng(11))
+
+        async def run():
+            async with service:
+                served = await asyncio.gather(
+                    *[service.submit(fp, b, tol=1e-8) for b in pool]
+                )
+                new_fp, report = service.update(fp, edits)
+                after = await service.submit(new_fp, pool[0], tol=1e-8)
+                return served, new_fp, report, after
+
+        served, new_fp, report, after = asyncio.run(run())
+        for got, ref in zip(served, refs):
+            assert np.array_equal(got.x, ref.x)
+        assert report.strategy == "patched"
+        assert service.registered() == (new_fp,)
+        residual = np.linalg.norm(graph_to_laplacian(mutated) @ after.x - pool[0])
+        assert after.converged
+        assert residual <= 1e-8 * np.linalg.norm(pool[0])
+        # Generator seeds are not cacheable: nothing went through the cache.
+        stats = chain_cache.chain_cache_stats()
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
 
 
 class TestSplitReports:
@@ -477,23 +533,9 @@ class TestSplitReports:
 
 
 # --------------------------------------------------------------------------- #
-# metrics weighting (regression: per-batch vs per-request hit rate)
+# metrics
 # --------------------------------------------------------------------------- #
 class TestMetricsWeighting:
-    def test_cache_hit_rate_is_request_weighted(self):
-        from repro.serving.metrics import ServiceMetrics
-
-        metrics = ServiceMetrics()
-        metrics.record_batch(8, cache_hit=True, solve_seconds=0.0)
-        metrics.record_batch(1, cache_hit=False, solve_seconds=0.0)
-        stats = metrics.snapshot()
-        # Regression: the old rate averaged per *batch* (would say 0.5) even
-        # though 8 of 9 requests were served off a hit.
-        assert stats.cache_hit_rate == pytest.approx(8 / 9)
-        assert stats.batch_cache_hit_rate == pytest.approx(0.5)
-        assert stats.cache_hits == 1 and stats.cache_misses == 1
-        assert stats.cache_hit_requests == 8 and stats.cache_miss_requests == 1
-
     def test_update_counters(self):
         from repro.serving.metrics import ServiceMetrics
 
@@ -542,8 +584,6 @@ class TestServiceUpdate:
         assert old_residual > 1e-3
         stats = service.stats()
         assert stats.updates == 1
-        # The stale fingerprint's chain-cache entries were evicted.
-        assert chain_cache.chain_cache_stats().evictions_explicit >= 1
 
     def test_update_does_not_drop_in_flight_requests(self):
         g = generators.grid_2d(8, 8)
@@ -581,6 +621,47 @@ class TestServiceUpdate:
         assert new_fp == fp
         assert report.strategy == "noop"
         assert service.registered() == (fp,)
+
+    def test_unregister_racing_update_leaves_nothing_registered(self, monkeypatch):
+        g = generators.grid_2d(8, 8)
+        service = SolverService()
+        fp = service.register(g, seed=0)
+        original = LaplacianOperator.update
+
+        def racing_update(op, edits):
+            # Another thread unregisters while this update is under way.
+            monkeypatch.setattr(LaplacianOperator, "update", original)
+            assert service.unregister(fp)
+            return original(op, edits)
+
+        monkeypatch.setattr(LaplacianOperator, "update", racing_update)
+        with pytest.raises(KeyError):
+            service.update(fp, repro.EdgeEdits.reweights([0], [2.0]))
+        assert service.registered() == ()
+        assert service.stats().updates == 0
+        assert service.unregister(fp) is False
+
+    def test_racing_updates_of_one_fingerprint_publish_one(self, monkeypatch):
+        g = generators.grid_2d(8, 8)
+        service = SolverService()
+        fp = service.register(g, seed=0)
+        first = repro.EdgeEdits.reweights([0], [2.0])
+        second = repro.EdgeEdits.reweights([5], [3.0])
+        original = LaplacianOperator.update
+        winner = []
+
+        def racing_update(op, edits):
+            # Another thread updates the same fingerprint meanwhile.
+            monkeypatch.setattr(LaplacianOperator, "update", original)
+            winner.append(service.update(fp, second)[0])
+            return original(op, edits)
+
+        monkeypatch.setattr(LaplacianOperator, "update", racing_update)
+        with pytest.raises(KeyError):
+            service.update(fp, first)
+        assert winner == [g.apply_edits(second).fingerprint()]
+        assert service.registered() == tuple(winner)
+        assert service.stats().updates == 1
 
     def test_update_unknown_fingerprint_raises(self):
         service = SolverService()

@@ -226,34 +226,16 @@ class TestCacheInteraction:
     def test_patched_operator_never_enters_the_chain_cache(self, grid_graph):
         op = factorize(grid_graph, seed=0, cache=True)
         edits = EdgeEdits.reweights([0], [2.0])
-        updated, report = op.update(edits, cache=True)
+        updated, report = op.update(edits)
         assert report.strategy == "patched"
         mutated = grid_graph.apply_edits(edits)
         key = chain_cache.make_key(mutated, op.chain_config, op.solver_config, 0)
         assert chain_cache.lookup(key) is None
 
-    def test_rebuilt_operator_is_cached_when_asked(self, grid_graph):
-        cfg = ChainConfig(update_rebuild_fraction=0.0)
-        op = factorize(grid_graph, cfg, seed=0, cache=True)
-        edits = EdgeEdits.reweights([0], [2.0])
-        rebuilt, report = op.update(edits, cache=True)
-        assert report.strategy == "rebuilt"
-        mutated = grid_graph.apply_edits(edits)
-        key = chain_cache.make_key(mutated, cfg, op.solver_config, 0)
-        assert chain_cache.lookup(key) is rebuilt
-
-    def test_invalidate_cache_evicts_stale_fingerprint(self, grid_graph):
-        op = factorize(grid_graph, seed=0, cache=True)
-        assert chain_cache.chain_cache_stats().size == 1
-        op.update(EdgeEdits.reweights([0], [2.0]), invalidate_cache=True)
-        stats = chain_cache.chain_cache_stats()
-        assert stats.size == 0
-        assert stats.evictions_explicit == 1
-
     def test_update_on_chain_cached_operator_leaves_cache_sound(self, grid_graph):
         """A cache hit after an update still returns the pristine operator."""
         op = factorize(grid_graph, seed=0, cache=True)
-        op.update(EdgeEdits.reweights([0], [2.0]))  # no invalidation requested
+        op.update(EdgeEdits.reweights([0], [2.0]))
         key = chain_cache.make_key(grid_graph, op.chain_config, op.solver_config, 0)
         assert chain_cache.lookup(key) is op  # original entry untouched
 

@@ -4,6 +4,8 @@ Non-finite or non-positive edge weights are rejected by every entry point
 that accepts weights, and non-finite right-hand sides are rejected by
 ``LaplacianOperator.solve`` and ``SolverService.submit`` — instead of
 running ``max_iterations`` of NaN arithmetic and returning a NaN answer.
+A tolerance that is not finite and positive is rejected by every entry
+point that takes one.
 """
 
 from __future__ import annotations
@@ -61,6 +63,32 @@ def test_solve_rejects_non_finite_rhs(grid_operator, bad, width):
     b[5] = bad
     with pytest.raises(ValueError, match="finite"):
         op.solve(b)
+
+
+def _submit_with_tol(g, tol):
+    service = SolverService(ServiceConfig(window_seconds=0.01, max_batch=2))
+    fp = service.register(g, seed=0, warm=False)
+
+    async def run():
+        async with service:
+            await service.submit(fp, np.zeros(g.n), tol=tol)
+
+    asyncio.run(run())
+
+
+TOL_ENTRY_POINTS = {
+    "SolverConfig": lambda g, op, tol: repro.SolverConfig(tol=tol),
+    "LaplacianOperator.solve": lambda g, op, tol: op.solve(np.zeros(g.n), tol=tol),
+    "SolverService.submit": lambda g, op, tol: _submit_with_tol(g, tol),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_rejects_bad_tol(grid_operator, entry, bad):
+    g, op = grid_operator
+    with pytest.raises(ValueError, match="tol must be positive"):
+        TOL_ENTRY_POINTS[entry](g, op, bad)
 
 
 def test_service_rejects_non_finite_request_alone():
