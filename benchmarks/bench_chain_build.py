@@ -152,7 +152,6 @@ def measure_workload(
         "setup_work": cost.work,
         "setup_depth": cost.depth,
         "index_dtype": str(stats.get("index_dtype", "")),
-        "value_dtype": str(stats.get("value_dtype", "")),
         "max_levels": (chain_config or ChainConfig()).max_levels,
         "memory": memory,
     }

@@ -66,6 +66,7 @@ import numpy as np
 from repro.core.chain_cache import clear_chain_cache
 from repro.core.config import ChainConfig
 from repro.core.operator import factorize
+from repro.core.update import REBUILD_DAMAGE
 from repro.graph import generators
 from repro.graph.edits import EdgeEdits
 
@@ -179,7 +180,7 @@ def measure_workload(
         "m": graph.num_edges,
         "chain_levels": baseline.chain.depth,
         "max_levels": (chain_config or ChainConfig()).max_levels,
-        "update_rebuild_fraction": baseline.chain_config.update_rebuild_fraction,
+        "update_rebuild_fraction": REBUILD_DAMAGE,
         "baseline_factorize_seconds": baseline_seconds,
         "trials": trials,
     }

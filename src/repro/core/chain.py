@@ -39,7 +39,6 @@ from repro.graph.laplacian import graph_to_laplacian
 from repro.graph.union_find import connected_components_arrays
 from repro.linalg.direct import ComponentProjector, FactorizedLaplacian
 from repro.pram.model import CostModel, log2ceil, null_cost
-from repro.util.dtypes import resolve_index_dtype, resolve_value_dtype
 from repro.util.memprof import StageMemoryTracker
 from repro.util.rng import RngLike, as_rng, derive_seed
 
@@ -97,8 +96,8 @@ class PreconditionerChain:
 
     levels: List[ChainLevel]
     bottom_solver: FactorizedLaplacian
-    #: Mostly-float diagnostics; ``index_dtype`` / ``value_dtype`` are the
-    #: resolved dtype names and the ``mem_*`` keys are byte counts.
+    #: Mostly-float diagnostics; ``index_dtype`` is the top graph's index
+    #: dtype name and the ``mem_*`` keys are byte counts.
     stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -155,19 +154,17 @@ def build_chain(
     Parameters
     ----------
     graph:
-        The Laplacian graph ``A_1`` (conductance weights).
+        The Laplacian graph ``A_1`` (conductance weights).  It becomes the
+        chain's top level as is — ``levels[0].graph is graph`` — so the
+        caller and the chain share one top-level graph and Laplacian.
     config:
-        A frozen :class:`~repro.core.config.ChainConfig` carrying every
-        construction parameter (``None`` selects the defaults): the
-        per-level condition parameter ``kappa`` (uniform, as in the
-        first-attempt analysis of Lemma 6.9), the low-stretch subgraph
-        parameters ``lam``/``beta``, the termination size ``bottom_size``
-        and level cap ``max_levels``, the sampling knobs forwarded to
-        :func:`incremental_sparsify`, the tree-only ablation switch
-        (experiment E11) and the index/value dtype policy.  The working
-        graph is normalized to that dtype policy once at entry; index
-        dtypes never change float arithmetic, so solves are bit-identical
-        across index settings.
+        A frozen :class:`~repro.core.config.ChainConfig` (``None`` selects
+        the defaults): the per-level condition parameter ``kappa`` (uniform,
+        as in the first-attempt analysis of Lemma 6.9), the termination
+        size ``bottom_size``, the level cap ``max_levels`` and the tree-only
+        ablation switch (experiment E11).  The low-stretch subgraph uses
+        :meth:`SparseAKPWParameters.practical`'s defaults and the sampling
+        uses :func:`incremental_sparsify`'s, without its ``log n`` factor.
     seed:
         RNG seed controlling every randomized stage.
     cost:
@@ -191,13 +188,6 @@ def build_chain(
     bottom_size = config.bottom_size
     if bottom_size is None:
         bottom_size = default_bottom_size(graph.num_edges, graph.n)
-
-    # Resolve the dtype policy up front ("int32" raises IndexOverflowError
-    # here, before any O(m) allocation, when the graph exceeds capacity) and
-    # normalize the working graph once; everything downstream preserves the
-    # lean dtypes.
-    idt = resolve_index_dtype(config.index_dtype, graph.n, graph.num_edges)
-    vdt = resolve_value_dtype(config.value_dtype)
     mem = StageMemoryTracker(profile=memory_profile)
 
     levels: List[ChainLevel] = []
@@ -208,17 +198,7 @@ def build_chain(
         "seconds_transfer": 0.0,
         "seconds_bottom": 0.0,
     }
-    with mem.stage("normalize"):
-        if graph.u.dtype == idt and graph.v.dtype == idt and graph.w.dtype == vdt:
-            current = graph
-        else:
-            current = Graph(
-                graph.n,
-                graph.u.astype(idt, copy=False),
-                graph.v.astype(idt, copy=False),
-                graph.w.astype(vdt, copy=False),
-                validate=False,
-            )
+    current = graph
     level_kappa = float(config.kappa)
     for _level_index in range(config.max_levels):
         with mem.stage("laplacian"):
@@ -245,7 +225,7 @@ def build_chain(
         t0 = time.perf_counter()
         with mem.stage("subgraph"):
             length_graph = current.reweighted(1.0 / current.w)
-            params = SparseAKPWParameters.practical(current.n, lam=config.lam, beta=config.beta)
+            params = SparseAKPWParameters.practical(current.n)
             subgraph = low_stretch_subgraph(
                 length_graph, parameters=params, seed=derive_seed(rng), cost=cost
             )
@@ -263,9 +243,7 @@ def build_chain(
                 level_kappa,
                 seed=derive_seed(rng),
                 cost=cost,
-                oversample=config.oversample,
-                use_log_factor=config.use_log_factor,
-                reweight=config.reweight,
+                use_log_factor=False,
                 stretch_edges=subgraph.tree_edges,
             )
         timings["seconds_sparsify"] += time.perf_counter() - t0
@@ -294,10 +272,6 @@ def build_chain(
             level_kappa *= 2.0
             cost.bump("chain_kappa_escalations")
         current = nxt
-    else:
-        # Ran out of levels; make the last graph the bottom level anyway.
-        with mem.stage("laplacian"):
-            levels.append(ChainLevel(graph=current, laplacian=graph_to_laplacian(current)))
 
     bottom = levels[-1]
     t0 = time.perf_counter()
@@ -318,8 +292,7 @@ def build_chain(
         "bottom_size": float(bottom.num_vertices),
         "bottom_target": float(bottom_size),
         "total_edges": float(sum(l.num_edges for l in levels)),
-        "index_dtype": str(np.dtype(idt)),
-        "value_dtype": str(np.dtype(vdt)),
+        "index_dtype": str(graph.u.dtype),
     }
     stats.update(timings)
     stats.update(mem.finish())

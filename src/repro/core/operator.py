@@ -52,12 +52,11 @@ import scipy.sparse as sp
 
 from repro.core.chain import PreconditionerChain, build_chain
 from repro.core.chebyshev import chebyshev_apply, estimate_extreme_eigenvalues
-from repro.core.config import ChainConfig, SolverConfig, check_method, check_tol
+from repro.core.config import ChainConfig, SolverConfig, check_count, check_method, check_tol
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.laplacian import (
     GrembanReduction,
-    graph_to_laplacian,
     is_sdd,
     laplacian_to_graph,
     sdd_to_laplacian,
@@ -202,15 +201,12 @@ class LaplacianOperator:
         #: Damage bookkeeping attached by :func:`repro.core.update.update_operator`
         #: on patched operators (``None`` on fresh factorizations).
         self._update_state = None
-        # The chain's top level already holds the CSR Laplacian of this very
-        # graph whenever build_chain didn't have to re-dtype it; reusing that
-        # object avoids a second O(m) materialization (same input, same
-        # function — the matrices are identical).
-        if chain.levels and chain.levels[0].graph is graph:
-            self.laplacian = chain.levels[0].laplacian
-        else:
-            self.laplacian = graph_to_laplacian(graph)
-        self.inner_iterations = solver_config.resolve_inner_iterations(chain_config.kappa)
+        # ``graph`` is the chain's top level (build_chain works on the
+        # caller's graph; a patch swaps in a new top level), so the operator
+        # shares that level's Laplacian instead of building a second one.
+        self.laplacian = chain.levels[0].laplacian
+        #: Iterations per inner chain level: ``max(2, ceil(sqrt(kappa)))``.
+        self.inner_iterations = max(2, math.ceil(math.sqrt(chain_config.kappa)))
 
         # Null-space projectors, hoisted into construction-time state: one
         # for the (possibly Gremban-expanded) top-level graph, which level 0
@@ -495,7 +491,8 @@ class LaplacianOperator:
             :class:`SolverConfig` applies at construction time.
         max_iterations:
             Cap on outer iterations; defaults to the :class:`SolverConfig`
-            value.  Must be ``>= 1``.
+            value.  Must be an integer ``>= 1``
+            (:func:`~repro.core.config.check_count`).
         method:
             Optional per-call override of the configured solve method (one
             of :data:`~repro.core.config.SOLVE_METHODS`).
@@ -520,9 +517,9 @@ class LaplacianOperator:
 
         cfg = self.solver_config
         tol = check_tol(cfg.tol if tol is None else float(tol))
-        max_iterations = cfg.max_iterations if max_iterations is None else int(max_iterations)
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1 (got {max_iterations})")
+        max_iterations = check_count(
+            "max_iterations", cfg.max_iterations if max_iterations is None else max_iterations
+        )
         method = check_method(cfg.method if method is None else method)
 
         if width == 0:
@@ -594,9 +591,8 @@ class LaplacianOperator:
         transfers, bottom factor) are reused as a stale preconditioner —
         solves on the returned operator converge to the mutated system's
         true solution, staleness only costs iterations.  Once the
-        accumulated damage exceeds
-        :attr:`~repro.core.config.ChainConfig.update_rebuild_fraction` (or
-        the batch merges connected components), the operator is instead
+        accumulated damage exceeds :data:`~repro.core.update.REBUILD_DAMAGE`
+        (or the batch merges connected components), the operator is instead
         rebuilt from scratch, bit-identical to a fresh ``factorize()`` of
         the mutated graph under this operator's original seed.
 

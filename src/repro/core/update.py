@@ -32,10 +32,9 @@ degrade the preconditioner — an edit to an unsampled edge changes only the
 exact top matvec.  Each batch's damage, ``(touched chain edges + inserts) /
 edges at last factorize``, accumulates across successive patches (staleness
 compounds; without accumulation a long drip of 0.1% batches would never
-rebuild), and once it exceeds
-:attr:`~repro.core.config.ChainConfig.update_rebuild_fraction` the operator
-is rebuilt with a fresh ``factorize()`` — **bit-identical** to factorizing
-the mutated graph from scratch, because the operator remembers its original
+rebuild), and once it exceeds :data:`REBUILD_DAMAGE` the operator is
+rebuilt with a fresh ``factorize()`` — **bit-identical** to factorizing the
+mutated graph from scratch, because the operator remembers its original
 integer seed.  Neither path touches the process-level chain cache: a
 patched chain is not what ``factorize()`` would build for the mutated graph,
 so it must never sit under that graph's content-addressed key, and the
@@ -60,7 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import LaplacianOperator
     from repro.graph.edits import EdgeEdits
 
-__all__ = ["UpdateReport", "update_operator"]
+__all__ = ["REBUILD_DAMAGE", "UpdateReport", "update_operator"]
+
+#: Damage threshold of :func:`update_operator`: patching continues while the
+#: accumulated fraction of chain-consumed edges touched by edit batches (plus
+#: inserted edges) stays at or below this value; beyond it the operator is
+#: rebuilt with a fresh ``factorize()``.
+REBUILD_DAMAGE = 0.2
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class UpdateReport:
     reason:
         Human-readable trigger (``"empty edit batch"``, ``"damage below
         threshold"``, ``"components merged"``, ``"damage ... exceeds
-        threshold ..."``, ``"patching disabled"``).
+        threshold ..."``).
     num_edits:
         Total inserts + deletes + reweights in the batch.
     batch_damage:
@@ -87,8 +92,7 @@ class UpdateReport:
         Damage accumulated across every patch since the last full
         factorize, including this batch (``0.0`` after a rebuild).
     threshold:
-        The :attr:`~repro.core.config.ChainConfig.update_rebuild_fraction`
-        in force.
+        The :data:`REBUILD_DAMAGE` in force.
     seconds:
         Wall-clock time of the update (patch or rebuild).
     """
@@ -184,7 +188,6 @@ def update_operator(
     edits.validate_for(op.graph)
 
     t0 = time.perf_counter()
-    threshold = float(op.chain_config.update_rebuild_fraction)
     if edits.is_empty:
         return op, UpdateReport(
             strategy="noop",
@@ -194,7 +197,7 @@ def update_operator(
             accumulated_damage=getattr(op, "_update_state", None).damage
             if getattr(op, "_update_state", None) is not None
             else 0.0,
-            threshold=threshold,
+            threshold=REBUILD_DAMAGE,
             seconds=time.perf_counter() - t0,
         )
 
@@ -208,11 +211,9 @@ def update_operator(
     rebuild_reason: Optional[str] = None
     if _merges_components(op, edits):
         rebuild_reason = "components merged (stale preconditioner would be singular on the new range)"
-    elif threshold == 0.0:
-        rebuild_reason = "patching disabled (update_rebuild_fraction=0)"
-    elif accumulated > threshold:
+    elif accumulated > REBUILD_DAMAGE:
         rebuild_reason = (
-            f"accumulated damage {accumulated:.4f} exceeds threshold {threshold:.4f}"
+            f"accumulated damage {accumulated:.4f} exceeds threshold {REBUILD_DAMAGE:.4f}"
         )
 
     if rebuild_reason is not None:
@@ -229,7 +230,7 @@ def update_operator(
             num_edits=edits.num_edits,
             batch_damage=batch_damage,
             accumulated_damage=0.0,
-            threshold=threshold,
+            threshold=REBUILD_DAMAGE,
             seconds=time.perf_counter() - t0,
         )
 
@@ -294,6 +295,6 @@ def update_operator(
         num_edits=edits.num_edits,
         batch_damage=batch_damage,
         accumulated_damage=accumulated,
-        threshold=threshold,
+        threshold=REBUILD_DAMAGE,
         seconds=time.perf_counter() - t0,
     )

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from repro.graph.graph import check_edge_weights
+from repro.graph.graph import check_edge_weights, check_vertex_ids
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
@@ -45,9 +45,7 @@ def _as_int_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values if values is not None else _EMPTY_INT)
     if arr.size == 0:
         return _EMPTY_INT
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.issubdtype(arr.dtype, np.number) or np.any(arr != np.floor(arr)):
-            raise TypeError(f"{name} must be an integer array")
+    check_vertex_ids(arr, name)
     return arr.astype(np.int64, copy=False).ravel()
 
 

@@ -142,14 +142,9 @@ def root_forest(
     idt = min_index_dtype(n, m)
     u = u.astype(idt, copy=False)
     v = v.astype(idt, copy=False)
-    if w is None:
-        w = np.ones(m, dtype=np.float64)
-    else:
-        w = np.asarray(w).ravel()
-        if w.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            w = w.astype(np.float64)
-        if w.shape[0] != m:
-            raise ValueError("w must have one entry per edge")
+    w = np.ones(m) if w is None else np.asarray(w, dtype=np.float64).ravel()
+    if w.shape[0] != m:
+        raise ValueError("w must have one entry per edge")
     if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise ValueError("vertex index out of range")
 

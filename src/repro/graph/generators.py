@@ -55,7 +55,7 @@ def star_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     """Complete graph K_n."""
     iu = np.triu_indices(n, k=1)
-    return Graph(n, iu[0], iu[1], index_dtype="auto")
+    return Graph(n, iu[0], iu[1])
 
 
 def grid_2d(rows: int, cols: int, *, wrap: bool = False) -> Graph:
@@ -158,7 +158,7 @@ def erdos_renyi_gnm(n: int, m: int, seed: RngLike = None, *, connected: bool = T
             vs.append(hi)
             if len(edges) >= target:
                 break
-    return Graph(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), index_dtype="auto")
+    return Graph(n, us, vs)
 
 
 def random_regular_graph(n: int, d: int, seed: RngLike = None, max_rounds: int = 500) -> Graph:
@@ -233,7 +233,7 @@ def preferential_attachment(n: int, k: int, seed: RngLike = None) -> Graph:
             us.append(new)
             vs.append(t)
             targets.extend([new, t])
-    return Graph(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), index_dtype="auto")
+    return Graph(n, us, vs)
 
 
 def random_geometric_graph(
@@ -257,10 +257,10 @@ def random_geometric_graph(
         order = np.argsort(pts[:, 0], kind="stable")
         us = np.concatenate([us, order[:-1]])
         vs = np.concatenate([vs, order[1:]])
-        g = Graph(n, us, vs, index_dtype="auto")
+        g = Graph(n, us, vs)
         g, _ = g.coalesce()
         return g
-    return Graph(n, us, vs, index_dtype="auto")
+    return Graph(n, us, vs)
 
 
 def rmat_edge_blocks(

@@ -10,20 +10,13 @@ stretch computation, sparsification) vectorizable.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.util.dtypes import (
-    as_index_array,
-    index_capacity_ok,
-    min_index_dtype,
-    resolve_index_dtype,
-)
-
-_INT_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+from repro.util.dtypes import as_index_array, min_index_dtype
 
 
 def check_edge_weights(w: np.ndarray, name: str = "edge weights") -> None:
@@ -38,31 +31,53 @@ def check_edge_weights(w: np.ndarray, name: str = "edge weights") -> None:
         raise ValueError(f"{name} must be finite and positive")
 
 
+def check_vertex_ids(ids: np.ndarray, name: str = "vertex ids", n: Optional[int] = None) -> None:
+    """Raise ``TypeError`` unless ``ids`` holds integers, ``ValueError``
+    unless they lie in ``[0, n)`` (bounds skipped when ``n`` is ``None``).
+
+    Shared by every entry point that accepts vertex or edge ids (graph
+    construction, edge-list ingestion, edit batches).  Integral floats such
+    as ``[0.0, 2.0]`` pass; ``0.5``, NaN and inf would otherwise be
+    truncated (or wrapped) into a valid-looking id by the integer cast, so
+    the check runs before any cast.
+    """
+    if not np.issubdtype(ids.dtype, np.integer) and not (
+        np.issubdtype(ids.dtype, np.floating)
+        and np.all(np.isfinite(ids))
+        and np.all(ids == np.floor(ids))
+    ):
+        raise TypeError(f"{name} must be an integer array")
+    if n is not None and ids.size:
+        if ids.min() < 0:
+            raise ValueError("vertex indices must be non-negative")
+        if ids.max() >= n:
+            raise ValueError("vertex index out of range")
+
+
+def check_vertex_count(n) -> int:
+    """Return ``n`` as an ``int`` if it is a non-negative integer, else raise."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a non-negative integer (got {n!r})")
+    return int(n)
+
+
 class Graph:
     """An undirected weighted multigraph on vertices ``0..n-1``.
 
     Parameters
     ----------
     n:
-        Number of vertices.
+        Number of vertices (a non-negative integer).
     u, v:
         Integer arrays of endpoints; edge ``i`` connects ``u[i]`` and ``v[i]``.
         Self-loops are rejected (they carry no information for Laplacians).
     w:
         Positive edge weights.  Defaults to all ones.
-    index_dtype:
-        Storage dtype for the endpoint arrays: ``"int32"``, ``"int64"``, or
-        ``None`` (default) to keep an already-int32/int64 input array as
-        given (slices of a lean parent stay lean, no copy) and otherwise use
-        the smallest dtype that safely covers ``(n, m)`` — see
-        :func:`repro.util.dtypes.min_index_dtype`.  An explicit ``"int32"``
-        raises :class:`~repro.util.dtypes.IndexOverflowError` when the graph
-        is too large for 32-bit indexing.
     validate:
-        Skip the O(m) invariant scan (index bounds, self-loops, finite
-        positive weights) when ``False``.  Internal call sites that construct
-        graphs from already-validated arrays use this to avoid redundant
-        passes over million-edge arrays.
+        Skip the O(m) invariant scan (integer ids, index bounds, self-loops,
+        finite positive weights) when ``False``.  Internal call sites that
+        construct graphs from already-validated arrays use this to avoid
+        redundant passes over million-edge arrays.
 
     Notes
     -----
@@ -71,9 +86,9 @@ class Graph:
     * Parallel edges are allowed (they arise naturally from the contractions
       in the AKPW algorithm); :meth:`coalesce` merges them by summing
       weights.
-    * Weights are stored as given for float32/float64 input arrays (the
-      chain build's optional float32 value mode relies on this) and
-      converted to float64 otherwise.
+    * Storage is decided here and nowhere else: endpoints always use
+      :func:`~repro.util.dtypes.min_index_dtype` of ``(n, m)`` (input that
+      already has it is not copied) and weights are always float64.
     """
 
     __slots__ = ("n", "u", "v", "w", "_adj", "_fingerprint")
@@ -85,42 +100,24 @@ class Graph:
         v: Iterable[int],
         w: Optional[Iterable[float]] = None,
         *,
-        index_dtype: Union[str, np.dtype, None] = None,
         validate: bool = True,
     ) -> None:
-        self.n = int(n)
+        self.n = check_vertex_count(n)
         u_arr = np.asarray(u)
         v_arr = np.asarray(v)
         if u_arr.shape != v_arr.shape:
             raise ValueError("u and v must have the same length")
         m = int(u_arr.size)
-        if index_dtype is not None:
-            idt = resolve_index_dtype(index_dtype, self.n, m)
-        elif (
-            u_arr.dtype in _INT_DTYPES
-            and v_arr.dtype == u_arr.dtype
-            and index_capacity_ok(u_arr.dtype, self.n, m)
-        ):
-            idt = u_arr.dtype
-        else:
-            idt = min_index_dtype(self.n, m)
+        if validate:
+            check_vertex_ids(u_arr, "u", self.n)
+            check_vertex_ids(v_arr, "v", self.n)
+        idt = min_index_dtype(self.n, m)
         self.u = u_arr.astype(idt, copy=False).ravel()
         self.v = v_arr.astype(idt, copy=False).ravel()
-        if w is None:
-            self.w = np.ones(m, dtype=np.float64)
-        else:
-            w_arr = np.asarray(w)
-            wdt = w_arr.dtype if w_arr.dtype in _FLOAT_DTYPES else np.dtype(np.float64)
-            self.w = w_arr.astype(wdt, copy=False).ravel()
-            if self.w.shape != self.u.shape:
-                raise ValueError("w must have the same length as u and v")
-        if validate and self.u.size:
-            # Bounds are checked on the pre-cast arrays so an out-of-range
-            # value can never wrap into range during an int64 -> int32 cast.
-            if u_arr.min(initial=0) < 0 or v_arr.min(initial=0) < 0:
-                raise ValueError("vertex indices must be non-negative")
-            if max(u_arr.max(initial=-1), v_arr.max(initial=-1)) >= self.n:
-                raise ValueError("vertex index out of range")
+        self.w = np.ones(m) if w is None else np.asarray(w, dtype=np.float64).ravel()
+        if self.w.shape != self.u.shape:
+            raise ValueError("w must have the same length as u and v")
+        if validate:
             if np.any(self.u == self.v):
                 raise ValueError("self-loops are not allowed")
             check_edge_weights(self.w)
@@ -172,17 +169,11 @@ class Graph:
 
             h = hashlib.sha256()
             h.update(np.int64(self.n).tobytes())
-            # Endpoints hash through a canonical int64 view so logically
-            # equal graphs fingerprint identically whatever index dtype they
-            # happen to be stored in (and int64 graphs hash as before).
+            # Endpoints hash through a canonical int64 view, so the digest
+            # does not depend on the index dtype the graph is stored in.
             h.update(np.ascontiguousarray(self.u, dtype=np.int64).tobytes())
             h.update(np.ascontiguousarray(self.v, dtype=np.int64).tobytes())
-            # Weights hash through a canonical float64 view for the same
-            # reason: a float32-weight graph and its value-identical float64
-            # twin produce identical Laplacians up to the float64 cast the
-            # chain build applies, so they must share one cache entry
-            # instead of factorizing (and caching) twice.
-            h.update(np.ascontiguousarray(self.w, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(self.w).tobytes())
             self._fingerprint = "g:" + h.hexdigest()
         return self._fingerprint
 
@@ -261,8 +252,7 @@ class Graph:
         if not edges:
             return Graph(n, [], [], [])
         arr = np.asarray(edges, dtype=np.float64)
-        idt = min_index_dtype(n, arr.shape[0])
-        return Graph(n, arr[:, 0].astype(idt), arr[:, 1].astype(idt), arr[:, 2])
+        return Graph(n, arr[:, 0], arr[:, 1], arr[:, 2])
 
     @staticmethod
     def from_scipy_adjacency(adj: sp.spmatrix) -> "Graph":
@@ -319,12 +309,9 @@ class Graph:
         # n beyond ~46k even when the indices themselves fit comfortably.
         keys = lo * np.int64(self.n) + hi
         uniq, inverse = np.unique(keys, return_inverse=True)
-        w_new = np.zeros(uniq.shape[0], dtype=self.w.dtype)
+        w_new = np.zeros(uniq.shape[0])
         np.add.at(w_new, inverse, self.w)
-        idt = self.u.dtype
-        u_new = (uniq // self.n).astype(idt)
-        v_new = (uniq % self.n).astype(idt)
-        return Graph(self.n, u_new, v_new, w_new, validate=False), inverse
+        return Graph(self.n, uniq // self.n, uniq % self.n, w_new, validate=False), inverse
 
     def reweighted(self, w: np.ndarray) -> "Graph":
         """Copy of the graph with new edge weights ``w`` (endpoints shared)."""
@@ -332,25 +319,12 @@ class Graph:
         check_edge_weights(w)
         return Graph(self.n, self.u, self.v, w, validate=False)
 
-    def _extended_index_dtype(self, new_m: int) -> np.dtype:
-        """This graph's index dtype, widened only when ``new_m`` requires it.
-
-        Mutation helpers preserve the source graph's dtype preference (an
-        explicit ``index_dtype="int64"`` graph must not silently downcast to
-        int32 just because the edited edge count happens to fit) and widen
-        exactly when the grown edge array exceeds the current dtype's
-        capacity.
-        """
-        if index_capacity_ok(self.u.dtype, self.n, new_m):
-            return self.u.dtype
-        return min_index_dtype(self.n, new_m)
-
     def add_edges(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "Graph":
-        """New graph with extra edges appended (source dtype preserved)."""
+        """New graph with extra edges appended."""
         uu = np.concatenate([self.u, np.asarray(u)])
         vv = np.concatenate([self.v, np.asarray(v)])
         ww = np.concatenate([self.w, np.asarray(w)])
-        return Graph(self.n, uu, vv, ww, index_dtype=self._extended_index_dtype(uu.shape[0]))
+        return Graph(self.n, uu, vv, ww)
 
     def delete_edges(self, edge_indices: np.ndarray) -> "Graph":
         """New graph with the named edges removed (order of survivors kept).
@@ -386,7 +360,7 @@ class Graph:
             raise ValueError("edge index out of range")
         check_edge_weights(new_w)
         w = self.w.copy()
-        w[edge_indices] = new_w.astype(self.w.dtype, copy=False)
+        w[edge_indices] = new_w
         return Graph(self.n, self.u, self.v, w, validate=False)
 
     def apply_edits(
@@ -397,9 +371,7 @@ class Graph:
         Deterministic edge order: surviving original edges first (original
         relative order, reweights applied in place), then the inserted
         edges in batch order — so two identical mutation histories produce
-        byte-identical edge arrays and hence equal fingerprints.  The index
-        dtype follows the preserve-or-widen rule of :meth:`add_edges`; the
-        weight dtype is preserved.
+        byte-identical edge arrays and hence equal fingerprints.
 
         With ``return_index_map=True`` additionally returns an int64 array
         of length ``m`` mapping each original edge index to its index in
@@ -413,13 +385,11 @@ class Graph:
         w = self.w
         if edits.num_reweights:
             w = w.copy()
-            w[edits.reweight] = edits.reweight_w.astype(w.dtype, copy=False)
-        new_m = int(np.count_nonzero(keep)) + edits.num_inserts
-        idt = self._extended_index_dtype(new_m)
-        uu = np.concatenate([self.u[keep], edits.insert_u]).astype(idt, copy=False)
-        vv = np.concatenate([self.v[keep], edits.insert_v]).astype(idt, copy=False)
-        ww = np.concatenate([w[keep], edits.insert_w.astype(w.dtype, copy=False)])
-        mutated = Graph(self.n, uu, vv, ww, index_dtype=idt, validate=False)
+            w[edits.reweight] = edits.reweight_w
+        uu = np.concatenate([self.u[keep], edits.insert_u])
+        vv = np.concatenate([self.v[keep], edits.insert_v])
+        ww = np.concatenate([w[keep], edits.insert_w])
+        mutated = Graph(self.n, uu, vv, ww, validate=False)
         if not return_index_map:
             return mutated
         index_map = np.cumsum(keep, dtype=np.int64) - 1

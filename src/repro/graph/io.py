@@ -15,7 +15,7 @@ module builds a graph from a stream of ``(u, v, w)`` blocks instead:
   matching on-disk formats (used by benchmarks and tests).
 
 The resulting graph is bit-identical — same ``n``, same endpoint/weight
-values, same lean dtypes — to ``Graph(n, u, v, w)`` on the concatenated
+values, same dtypes — to ``Graph(n, u, v, w)`` on the concatenated
 edge list; the streaming-ingestion tests assert exactly that across the
 fuzz corpus, multigraphs and disconnected unions included.
 """
@@ -27,14 +27,8 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.graph import Graph, check_edge_weights
-from repro.util.dtypes import (
-    IndexOverflowError,
-    index_capacity_ok,
-    min_index_dtype,
-    resolve_index_dtype,
-    resolve_value_dtype,
-)
+from repro.graph.graph import Graph, check_edge_weights, check_vertex_count, check_vertex_ids
+from repro.util.dtypes import index_capacity_ok, min_index_dtype
 
 #: One streamed chunk of edges: ``(u, v, w)`` parallel arrays.
 EdgeBlock = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -182,12 +176,8 @@ def iter_edge_blocks(
 def _validate_block(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
     if u.shape != v.shape or w.shape != u.shape:
         raise ValueError("block arrays u, v, w must have the same length")
-    if not u.size:
-        return
-    if u.min(initial=0) < 0 or v.min(initial=0) < 0:
-        raise ValueError("vertex indices must be non-negative")
-    if max(u.max(initial=-1), v.max(initial=-1)) >= n:
-        raise ValueError("vertex index out of range")
+    check_vertex_ids(u, "u", n)
+    check_vertex_ids(v, "v", n)
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
     check_edge_weights(w)
@@ -198,8 +188,6 @@ def graph_from_edge_blocks(
     blocks: Iterable[EdgeBlock],
     *,
     num_edges: Optional[int] = None,
-    index_dtype: Union[str, np.dtype] = "auto",
-    value_dtype: Union[str, np.dtype] = "float64",
     validate: bool = True,
 ) -> Graph:
     """Build a :class:`Graph` by streaming ``(u, v, w)`` blocks into place.
@@ -211,28 +199,17 @@ def graph_from_edge_blocks(
     exactly once; otherwise it grows by doubling (amortized O(m), peak
     ~1.5x the final arrays during the last regrow).
 
-    ``index_dtype="auto"`` sizes storage for ``num_edges`` when known and
-    otherwise starts at the leanest dtype that covers ``n``, upcasting
-    mid-stream in the (rare) case the edge count outgrows int32 capacity.
-    An explicit ``"int32"`` raises
-    :class:`~repro.util.dtypes.IndexOverflowError` instead of upcasting.
+    Endpoints are stored in the dtype :class:`Graph` would pick — sized
+    for ``num_edges`` when known, otherwise starting at the leanest dtype
+    that covers ``n`` and widening to int64 mid-stream in the (rare) case
+    the edge count outgrows int32 capacity — and weights in float64.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    wdt = resolve_value_dtype(value_dtype)
-    explicit = isinstance(index_dtype, str) and index_dtype != "auto" or not isinstance(
-        index_dtype, str
-    )
-    if num_edges is not None:
-        idt = resolve_index_dtype(index_dtype, n, int(num_edges))
-        cap = int(num_edges)
-    else:
-        idt = resolve_index_dtype(index_dtype, n, 0)
-        cap = 0
+    n = check_vertex_count(n)
+    cap = 0 if num_edges is None else int(num_edges)
+    idt = min_index_dtype(n, cap)
     u = np.empty(cap, dtype=idt)
     v = np.empty(cap, dtype=idt)
-    w = np.empty(cap, dtype=wdt)
+    w = np.empty(cap, dtype=np.float64)
     filled = 0
     for bu, bv, bw in blocks:
         bu = np.asarray(bu).ravel()
@@ -248,15 +225,10 @@ def graph_from_edge_blocks(
                 )
             new_cap = max(need, 2 * u.shape[0], 1024)
             if not index_capacity_ok(idt, n, new_cap):
-                if explicit:
-                    raise IndexOverflowError(
-                        f"edge stream outgrew index_dtype={idt.name!r} capacity "
-                        f"at {need} edges; use index_dtype='int64' or 'auto'"
-                    )
                 idt = np.dtype(np.int64)
             u = _regrow(u, new_cap, idt)
             v = _regrow(v, new_cap, idt)
-            w = _regrow(w, new_cap, wdt)
+            w = _regrow(w, new_cap, w.dtype)
         u[filled:need] = bu
         v[filled:need] = bv
         w[filled:need] = bw
@@ -269,15 +241,6 @@ def graph_from_edge_blocks(
         u = u[:filled].copy()
         v = v[:filled].copy()
         w = w[:filled].copy()
-    # Guard again with the true edge count (2m arc capacity matters too).
-    if not index_capacity_ok(idt, n, filled):
-        if explicit:
-            raise IndexOverflowError(
-                f"graph with n={n}, m={filled} does not fit index_dtype={idt.name!r}; "
-                "use index_dtype='int64' or 'auto'"
-            )
-        u = u.astype(np.int64)
-        v = v.astype(np.int64)
     return Graph(n, u, v, w, validate=False)
 
 
@@ -293,19 +256,11 @@ def graph_from_edge_list(
     *,
     block_edges: int = DEFAULT_BLOCK_EDGES,
     binary_dtype: Optional[np.dtype] = None,
-    index_dtype: Union[str, np.dtype] = "auto",
-    value_dtype: Union[str, np.dtype] = "float64",
     validate: bool = True,
 ) -> Graph:
     """Build a graph from any :func:`iter_edge_blocks` source, streaming."""
     blocks = iter_edge_blocks(source, block_edges=block_edges, binary_dtype=binary_dtype)
-    return graph_from_edge_blocks(
-        n,
-        blocks,
-        index_dtype=index_dtype,
-        value_dtype=value_dtype,
-        validate=validate,
-    )
+    return graph_from_edge_blocks(n, blocks, validate=validate)
 
 
 def save_edge_list_npy(graph: Graph, path: Union[str, os.PathLike]) -> str:

@@ -27,10 +27,9 @@ from repro.graph.graph import Graph
 def graph_to_laplacian(graph: Graph) -> sp.csr_matrix:
     """Laplacian ``L = D - A`` of a weighted graph as a CSR matrix.
 
-    The COO scratch rows/cols inherit the graph's (possibly int32) index
-    dtype, which halves the dominant temporary on dtype-lean graphs; the
-    matrix data is always float64 — solves accumulate in double precision
-    regardless of the chain's value dtype.
+    The COO scratch rows/cols inherit the graph's (usually int32) index
+    dtype, which halves the dominant temporary; the matrix data is the
+    graph's float64 weights.
     """
     n, m = graph.n, graph.num_edges
     if m == 0:
@@ -38,8 +37,7 @@ def graph_to_laplacian(graph: Graph) -> sp.csr_matrix:
     # concatenate preserves the common endpoint dtype (int32 stays int32).
     rows = np.concatenate([graph.u, graph.v, graph.u, graph.v])
     cols = np.concatenate([graph.v, graph.u, graph.u, graph.v])
-    w64 = np.ascontiguousarray(graph.w, dtype=np.float64)
-    data = np.concatenate([-w64, -w64, w64, w64])
+    data = np.concatenate([-graph.w, -graph.w, graph.w, graph.w])
     lap = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     lap.sum_duplicates()
     return lap

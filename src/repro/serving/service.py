@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core import chain_cache
-from repro.core.config import ChainConfig, SolverConfig, check_method
+from repro.core.config import ChainConfig, SolverConfig, check_count, check_method
 from repro.core.operator import LaplacianOperator, MatrixInput, SolveReport, factorize
 from repro.graph.graph import Graph
 from repro.serving.batcher import GroupKey, PendingRequest, RequestBatcher, bucket_tol
@@ -86,12 +86,8 @@ class ServiceConfig:
             raise ValueError(
                 f"window_seconds must be finite and >= 0 (got {self.window_seconds})"
             )
-        if int(self.max_batch) < 1:
-            raise ValueError(f"max_batch must be >= 1 (got {self.max_batch})")
-        if int(self.executor_workers) < 1:
-            raise ValueError(
-                f"executor_workers must be >= 1 (got {self.executor_workers})"
-            )
+        check_count("max_batch", self.max_batch)
+        check_count("executor_workers", self.executor_workers)
 
 
 @dataclass(eq=False)
@@ -230,7 +226,7 @@ class SolverService:
         The registered operator is updated through
         :meth:`LaplacianOperator.update <repro.core.operator.LaplacianOperator.update>`
         — patched incrementally when the edit batch's damage stays under
-        :attr:`~repro.core.config.ChainConfig.update_rebuild_fraction`,
+        :data:`~repro.core.update.REBUILD_DAMAGE`,
         fully re-factorized (bit-identical to fresh) beyond it — and the
         mutated graph is re-registered under its new fingerprint.
 

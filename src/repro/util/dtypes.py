@@ -1,14 +1,13 @@
-"""Index/value dtype policy for the memory-lean chain build.
+"""Index dtype rule shared by every array-building stage.
 
-The build pipeline stores every vertex/edge index array in a configurable
-integer dtype (``ChainConfig.index_dtype``).  The default is int32, which
-halves the footprint of the index-dominated stages (CSR adjacency, Euler
-tours, union-find, Borůvka, elimination schedules) and is safe for any graph
-with fewer than ~2^31 vertices *and* fewer than ~2^30 edges — the Euler-tour
-and adjacency structures index ``2m`` arcs plus a sentinel, so the guard
-checks ``2m + 2`` as well as ``n``.
+Every vertex/edge index array is stored in the smallest dtype that covers
+the graph: int32 while ``max(n, 2m + 2) <= 2^31 - 1`` (the Euler-tour and
+adjacency structures index ``2m`` arcs plus a sentinel) and int64 beyond
+that.  :class:`~repro.graph.graph.Graph` applies the rule at construction;
+nothing else chooses an index dtype for a graph.  Edge weights are always
+float64.
 
-Two hard rules keep dtype changes bit-identical on the float side:
+Two hard rules keep the index dtype invisible on the float side:
 
 * index dtypes never participate in floating-point arithmetic, and
 * any integer arithmetic that can exceed the index range (e.g. the edge
@@ -18,20 +17,9 @@ Two hard rules keep dtype changes bit-identical on the float side:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-
-#: Accepted ``ChainConfig.index_dtype`` values.
-INDEX_DTYPE_NAMES = ("int32", "int64", "auto")
-#: Accepted ``ChainConfig.value_dtype`` values.
-VALUE_DTYPE_NAMES = ("float64", "float32")
-
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-class IndexOverflowError(OverflowError):
-    """Raised when a graph does not fit the requested index dtype."""
 
 
 def index_capacity_ok(dtype: np.dtype, n: int, m: int) -> bool:
@@ -50,46 +38,6 @@ def min_index_dtype(n: int, m: int) -> np.dtype:
     if index_capacity_ok(np.int32, n, m):
         return np.dtype(np.int32)
     return np.dtype(np.int64)
-
-
-def resolve_index_dtype(name: Union[str, np.dtype, type], n: int, m: int) -> np.dtype:
-    """Map a configured index-dtype name to a concrete dtype for ``(n, m)``.
-
-    ``"auto"`` picks :func:`min_index_dtype`.  An explicit ``"int32"``
-    raises :class:`IndexOverflowError` when the graph does not fit, so a
-    too-small configuration fails loudly instead of wrapping around.
-    """
-    if isinstance(name, str):
-        if name not in INDEX_DTYPE_NAMES:
-            raise ValueError(
-                f"unknown index_dtype {name!r}; expected one of {INDEX_DTYPE_NAMES}"
-            )
-        if name == "auto":
-            return min_index_dtype(n, m)
-        dtype = np.dtype(name)
-    else:
-        dtype = np.dtype(name)
-        if dtype not in (np.dtype(np.int32), np.dtype(np.int64)):
-            raise ValueError(f"unsupported index dtype {dtype!r}")
-    if not index_capacity_ok(dtype, n, m):
-        raise IndexOverflowError(
-            f"graph with n={n}, m={m} does not fit index_dtype={dtype.name!r} "
-            f"(needs max(n, 2m + 2) <= {np.iinfo(dtype).max}); "
-            "use index_dtype='int64' or 'auto'"
-        )
-    return dtype
-
-
-def resolve_value_dtype(name: Union[str, np.dtype, type]) -> np.dtype:
-    """Map a configured value-dtype name to a concrete dtype."""
-    if isinstance(name, str) and name not in VALUE_DTYPE_NAMES:
-        raise ValueError(
-            f"unknown value_dtype {name!r}; expected one of {VALUE_DTYPE_NAMES}"
-        )
-    dtype = np.dtype(name)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported value dtype {dtype!r}")
-    return dtype
 
 
 def as_index_array(a, dtype: Optional[np.dtype] = None) -> np.ndarray:

@@ -56,11 +56,10 @@ class TestConfigValidation:
         [
             {"kappa": 1.0},
             {"kappa": -3.0},
-            {"lam": 0},
-            {"beta": 0.0},
+            {"kappa": float("inf")},
+            {"bottom_size": 2.5},
             {"bottom_size": 0},
             {"max_levels": 0},
-            {"oversample": 0.0},
         ],
     )
     def test_chain_config_rejects_bad_values(self, kwargs):
@@ -71,7 +70,7 @@ class TestConfigValidation:
         "kwargs",
         [
             {"method": "bogus"},
-            {"inner_iterations": 0},
+            {"tol": float("inf")},
             {"tol": 0.0},
             {"tol": -1e-8},
             {"max_iterations": 0},
@@ -89,8 +88,11 @@ class TestConfigValidation:
         assert ChainConfig().cache_key() != cfg.cache_key()
 
     def test_inner_iteration_resolution(self):
-        assert SolverConfig().resolve_inner_iterations(25.0) == 5
-        assert SolverConfig(inner_iterations=3).resolve_inner_iterations(25.0) == 3
+        """The operator derives the paper's max(2, ceil(sqrt(kappa))) budget."""
+        g = generators.grid_2d(6, 6)
+        assert factorize(g, seed=0).inner_iterations == 5
+        assert factorize(g, ChainConfig(kappa=2.0), seed=0).inner_iterations == 2
+        assert factorize(g, ChainConfig(kappa=30.0), seed=0).inner_iterations == 6
 
 
 class TestBatchedSolve:
@@ -262,8 +264,8 @@ class TestChainCache:
         base = factorize(g, seed=0, cache=True)
         loose = factorize(g, solver=SolverConfig(tol=1e-3), seed=0, cache=True)
         assert loose is base
-        # but a different method or inner budget is real operator state
-        assert factorize(g, solver=SolverConfig(inner_iterations=3), seed=0, cache=True) is not base
+        # but a different method is real operator state
+        assert factorize(g, solver=SolverConfig(method="chebyshev"), seed=0, cache=True) is not base
 
     def test_facade_honors_requested_tol_on_cache_hit(self):
         g = generators.grid_2d(10, 10)

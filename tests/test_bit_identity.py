@@ -34,6 +34,7 @@ import hashlib
 
 import numpy as np
 
+import repro.graph.graph
 from repro.core.config import ChainConfig, SolverConfig
 from repro.core.operator import factorize
 from repro.graph import generators
@@ -105,12 +106,14 @@ def test_default_config_solves_match_pre_refactor_digests():
         assert iters == want_iters, f"{name}: iteration count changed"
 
 
-def test_int64_index_config_matches_default_bit_for_bit():
+def test_int64_index_config_matches_default_bit_for_bit(monkeypatch):
+    """int64 storage (graphs past int32 capacity) solves bit-identically."""
     g = generators.weighted_grid_2d(16, 16, seed=9)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(g.n)
     b -= b.mean()
-    x32 = factorize(g, chain=ChainConfig(index_dtype="int32"), seed=4).solve(b).x
-    x64 = factorize(g, chain=ChainConfig(index_dtype="int64"), seed=4).solve(b).x
-    xauto = factorize(g, chain=ChainConfig(index_dtype="auto"), seed=4).solve(b).x
-    assert _digest(x32) == _digest(x64) == _digest(xauto)
+    x32 = factorize(g, seed=4).solve(b).x
+    monkeypatch.setattr(repro.graph.graph, "min_index_dtype", lambda n, m: np.dtype(np.int64))
+    op64 = factorize(generators.weighted_grid_2d(16, 16, seed=9), seed=4)
+    assert op64.chain.levels[0].graph.u.dtype == np.dtype(np.int64)
+    assert _digest(x32) == _digest(op64.solve(b).x)

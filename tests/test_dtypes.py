@@ -1,4 +1,10 @@
-"""Index/value dtype policy: resolvers, overflow guards, and corpus parity."""
+"""The single storage rule: ``Graph`` picks every dtype, the chain reuses it.
+
+Endpoints are stored in ``min_index_dtype(n, m)`` and weights in float64,
+whatever the input arrays carry; the operator's top chain level *is* the
+caller's graph.  Forcing int64 storage (the path graphs past int32 capacity
+take) never changes a solve.
+"""
 
 from __future__ import annotations
 
@@ -7,24 +13,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.config import ChainConfig
+import repro.graph.graph
+from repro.core.chain_cache import estimate_operator_bytes
 from repro.core.operator import factorize
+from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.testing import fuzz_corpus
-from repro.util.dtypes import (
-    IndexOverflowError,
-    as_index_array,
-    index_capacity_ok,
-    min_index_dtype,
-    resolve_index_dtype,
-    resolve_value_dtype,
-)
+from repro.util.dtypes import as_index_array, index_capacity_ok, min_index_dtype
 
 INT32_MAX = np.iinfo(np.int32).max
 
 
 # --------------------------------------------------------------------------- #
-# resolver boundaries
+# capacity rule
 # --------------------------------------------------------------------------- #
 def test_min_index_dtype_boundaries():
     # Capacity rule: int32 iff max(n, 2m + 2) <= 2**31 - 1 (arc ids reach
@@ -44,27 +45,6 @@ def test_index_capacity_ok_matches_min_dtype():
         assert index_capacity_ok(np.dtype(np.int64), n, m)
 
 
-def test_resolve_index_dtype_auto_and_explicit():
-    assert resolve_index_dtype("auto", 100, 100) == np.dtype(np.int32)
-    assert resolve_index_dtype("auto", INT32_MAX + 1, 0) == np.dtype(np.int64)
-    assert resolve_index_dtype("int64", 10, 10) == np.dtype(np.int64)
-    assert resolve_index_dtype("int32", 10, 10) == np.dtype(np.int32)
-
-
-def test_resolve_index_dtype_int32_overflow_raises():
-    with pytest.raises(IndexOverflowError):
-        resolve_index_dtype("int32", INT32_MAX + 1, 0)
-    with pytest.raises(IndexOverflowError):
-        resolve_index_dtype("int32", 10, 2**31)
-
-
-def test_resolve_value_dtype():
-    assert resolve_value_dtype("float64") == np.dtype(np.float64)
-    assert resolve_value_dtype("float32") == np.dtype(np.float32)
-    with pytest.raises(ValueError):
-        resolve_value_dtype("float16")
-
-
 def test_as_index_array_preserves_lean_dtypes():
     a32 = np.arange(5, dtype=np.int32)
     out32 = as_index_array(a32)
@@ -78,64 +58,47 @@ def test_as_index_array_preserves_lean_dtypes():
 
 
 # --------------------------------------------------------------------------- #
-# Graph-level guards
+# Graph storage
 # --------------------------------------------------------------------------- #
-def test_graph_explicit_int32_rejects_oversized_vertex_count():
-    # The guard fires on declared capacity alone — no O(n) allocation needed.
-    with pytest.raises(IndexOverflowError):
-        Graph(INT32_MAX + 10, [0], [1], [1.0], index_dtype="int32")
-
-
-def test_graph_default_picks_lean_dtype_and_preserves_given():
-    # Python lists become int64 under np.asarray and are preserved as given;
-    # an explicit "auto" request resolves to the minimal covering dtype.
-    g = Graph(10, [0, 1], [1, 2], [1.0, 2.0])
-    assert g.u.dtype == np.dtype(np.int64)
-    assert Graph(10, [0, 1], [1, 2], [1.0, 2.0], index_dtype="auto").u.dtype == np.dtype(
-        np.int32
-    )
+def test_graph_stores_min_index_dtype_and_float64_weights():
     u64 = np.array([0, 1], dtype=np.int64)
     v64 = np.array([1, 2], dtype=np.int64)
-    g64 = Graph(10, u64, v64, [1.0, 2.0])
-    assert g64.u.dtype == np.dtype(np.int64)  # preserve-or-minimal: preserved
-    g32 = Graph(10, u64, v64, [1.0, 2.0], index_dtype="int32")
-    assert g32.u.dtype == np.dtype(np.int32)
+    g = Graph(10, u64, v64, np.array([1.0, 2.0], dtype=np.float32))
+    assert g.u.dtype == g.v.dtype == np.dtype(np.int32)
+    assert g.w.dtype == np.dtype(np.float64)
+    np.testing.assert_array_equal(g.u, u64)
+    np.testing.assert_array_equal(g.w, [1.0, 2.0])
+    # Python lists, int64 slices and edits all land on the same rule.
+    assert Graph(10, [0, 1], [1, 2]).u.dtype == np.dtype(np.int32)
+    assert g.add_edges(u64, v64 + 1, [3.0, 4.0]).u.dtype == np.dtype(np.int32)
+    # Input that already has the storage dtype is not copied.
+    u32 = u64.astype(np.int32)
+    v32 = v64.astype(np.int32)
+    w = np.array([1.0, 2.0])
+    lean = Graph(10, u32, v32, w)
+    assert np.shares_memory(lean.u, u32)
+    assert np.shares_memory(lean.v, v32)
+    assert np.shares_memory(lean.w, w)
 
 
 def test_graph_validation_checks_precast_values():
     # An out-of-range int64 endpoint must not wrap into valid int32 range.
     bad = np.array([INT32_MAX + 7], dtype=np.int64)
     with pytest.raises(ValueError):
-        Graph(10, bad, np.array([1], dtype=np.int64), [1.0], index_dtype="int64")
+        Graph(10, bad, np.array([1], dtype=np.int64), [1.0])
 
 
-def test_graph_float32_weights_preserved():
-    w = np.array([1.0, 2.0], dtype=np.float32)
-    g = Graph(3, [0, 1], [1, 2], w)
-    assert g.w.dtype == np.dtype(np.float32)
-    assert g.reweighted(1.0 / g.w).w.dtype == np.dtype(np.float32)
-
-
-# --------------------------------------------------------------------------- #
-# ChainConfig validation
-# --------------------------------------------------------------------------- #
-def test_chain_config_validates_dtype_names():
-    ChainConfig(index_dtype="auto", value_dtype="float32")  # accepted
-    with pytest.raises(ValueError):
-        ChainConfig(index_dtype="int16")
-    with pytest.raises(ValueError):
-        ChainConfig(value_dtype="float16")
-
-
-def test_chain_config_cache_key_includes_dtypes():
-    a = ChainConfig().cache_key()
-    b = ChainConfig(index_dtype="int64").cache_key()
-    c = ChainConfig(value_dtype="float32").cache_key()
-    assert a != b and a != c and b != c
+def test_int64_input_shares_one_top_level():
+    g32 = generators.weighted_grid_2d(10, 10, seed=3)
+    g64 = Graph(g32.n, g32.u.astype(np.int64), g32.v.astype(np.int64), g32.w)
+    op = factorize(g64, seed=1)
+    assert op.chain.levels[0].graph is op.graph
+    assert op.laplacian is op.chain.levels[0].laplacian
+    assert estimate_operator_bytes(op) == estimate_operator_bytes(factorize(g32, seed=1))
 
 
 # --------------------------------------------------------------------------- #
-# corpus parity: index dtype never changes a solve; float32 mode runs
+# corpus parity: index dtype never changes a solve
 # --------------------------------------------------------------------------- #
 def _digest(x):
     return hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64).tobytes()).hexdigest()
@@ -144,32 +107,16 @@ def _digest(x):
 @pytest.mark.parametrize(
     "case", [c for c in fuzz_corpus(seed=0) if c.graph.num_edges > 0], ids=lambda c: c.name
 )
-def test_corpus_int32_and_int64_solves_agree_exactly(case):
+def test_corpus_int32_and_int64_solves_agree_exactly(case, monkeypatch):
     g = case.graph
     rng = np.random.default_rng(11)
     b = rng.standard_normal(g.n)
     b -= b.mean()
-    cfg32 = ChainConfig(index_dtype="int32")
-    cfg64 = ChainConfig(index_dtype="int64")
-    r32 = factorize(g, chain=cfg32, seed=2).solve(b)
-    r64 = factorize(g, chain=cfg64, seed=2).solve(b)
+    r32 = factorize(g, seed=2).solve(b)
+    # Force the int64 storage that graphs past int32 capacity get.
+    monkeypatch.setattr(repro.graph.graph, "min_index_dtype", lambda n, m: np.dtype(np.int64))
+    op64 = factorize(Graph(g.n, g.u, g.v, g.w), seed=2)
+    assert op64.chain.levels[0].graph.u.dtype == np.dtype(np.int64)
+    r64 = op64.solve(b)
     assert _digest(r32.x) == _digest(r64.x)
     assert r32.iterations == r64.iterations
-
-
-def test_float32_value_mode_runs_and_stays_close():
-    from repro.graph import generators
-
-    g = generators.weighted_grid_2d(14, 14, seed=6, spread=30.0)
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(g.n)
-    b -= b.mean()
-    op32 = factorize(g, chain=ChainConfig(value_dtype="float32"), seed=8)
-    assert op32.chain.stats["value_dtype"] == "float32"
-    r32 = op32.solve(b, tol=1e-8)
-    r64 = factorize(g, seed=8).solve(b, tol=1e-8)
-    assert r32.converged and r64.converged
-    # The chain weights were rounded to float32, so the preconditioner (not
-    # the answer) is perturbed: both converge to the same solution.
-    denom = np.linalg.norm(r64.x)
-    assert np.linalg.norm(r32.x - r64.x) <= 1e-6 * max(denom, 1.0)

@@ -176,14 +176,6 @@ class TestTransforms:
 # mutation helpers and fingerprint canonicalization
 # --------------------------------------------------------------------------- #
 class TestMutation:
-    def test_add_edges_preserves_index_dtype(self):
-        """Regression: appending used to downcast explicit index dtypes."""
-        for dtype in (np.int32, np.int64):
-            g = Graph(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0], index_dtype=dtype)
-            g2 = g.add_edges([0], [3], [7.0])
-            assert g2.u.dtype == np.dtype(dtype)
-            assert g2.v.dtype == np.dtype(dtype)
-
     def test_fingerprint_invariant_under_weight_dtype(self):
         """Regression: float32 weights hashed different bytes than float64."""
         u, v, w = [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]

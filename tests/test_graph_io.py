@@ -22,22 +22,16 @@ from repro.graph.io import (
     save_edge_list_npy,
 )
 from repro.testing import fuzz_corpus
-from repro.util.dtypes import IndexOverflowError
 
 CASES = fuzz_corpus(seed=0)
 BLOCK_SIZES = [1, 3, 1 << 10]
 
 
 def _assert_graphs_identical(got: Graph, want: Graph) -> None:
-    # Streaming builders default to index_dtype="auto" (minimal storage);
-    # corpus graphs built from Python lists carry int64.  Normalize the
-    # expectation to the same auto policy for dtype checks — values and the
-    # (dtype-canonical) fingerprint must match the original exactly.
-    norm = Graph(want.n, want.u, want.v, want.w, index_dtype="auto", validate=False)
     assert got.n == want.n
     assert got.num_edges == want.num_edges
-    assert got.u.dtype == norm.u.dtype
-    assert got.v.dtype == norm.v.dtype
+    assert got.u.dtype == want.u.dtype
+    assert got.v.dtype == want.v.dtype
     assert got.w.dtype == want.w.dtype
     np.testing.assert_array_equal(got.u, want.u)
     np.testing.assert_array_equal(got.v, want.v)
@@ -106,25 +100,3 @@ def test_streaming_validation_rejects_bad_blocks():
         graph_from_edge_blocks(3, [(np.array([1]), np.array([1]), np.array([1.0]))])
     with pytest.raises(ValueError):
         graph_from_edge_blocks(3, [(np.array([0]), np.array([1]), np.array([-1.0]))])
-
-
-def test_streaming_explicit_int32_overflow_raises():
-    # Declared vertex count beyond int32 capacity fails fast under an
-    # explicit "int32" request instead of wrapping.
-    big_n = np.iinfo(np.int32).max + 10
-    with pytest.raises(IndexOverflowError):
-        graph_from_edge_blocks(
-            big_n,
-            [(np.array([0]), np.array([1]), np.array([1.0]))],
-            index_dtype="int32",
-        )
-
-
-def test_streaming_float32_value_mode():
-    g = graph_from_edge_blocks(
-        3,
-        [(np.array([0, 1]), np.array([1, 2]), np.array([1.5, 2.5]))],
-        value_dtype="float32",
-    )
-    assert g.w.dtype == np.dtype(np.float32)
-    np.testing.assert_allclose(g.w, [1.5, 2.5])

@@ -10,14 +10,16 @@ rebuild, the result must be **bit-identical** to the fresh factorization
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import repro
 from repro.core import chain_cache
-from repro.core.config import ChainConfig, SolverConfig
+from repro.core.config import SolverConfig
 from repro.core.operator import factorize
-from repro.core.update import UpdateReport
+from repro.core.update import REBUILD_DAMAGE, UpdateReport
 from repro.graph import generators
 from repro.graph.edits import EdgeEdits
 from repro.graph.graph import Graph
@@ -45,6 +47,12 @@ def _assert_solve_equivalent(updated, mutated_graph: Graph, *, seed) -> None:
     x_upd = updated.solve(b, tol=SOLVE_TOL).x
     x_ref = fresh.solve(b, tol=SOLVE_TOL).x
     assert np.max(np.abs(x_upd - x_ref)) <= EQUIV_ATOL
+
+
+def _past_threshold(graph: Graph) -> EdgeEdits:
+    """A batch that reweights every edge: its damage exceeds REBUILD_DAMAGE."""
+    m = graph.num_edges
+    return EdgeEdits.reweights(np.arange(m), 2.0 + np.arange(m) % 3)
 
 
 def _random_edits(graph: Graph, rng: np.random.Generator, *, fraction: float = 0.1) -> EdgeEdits:
@@ -142,22 +150,20 @@ class TestStrategySelection:
         assert updated is not op
         assert 0.0 <= report.batch_damage <= report.threshold
 
-    def test_zero_threshold_disables_patching(self, grid_graph):
-        cfg = ChainConfig(update_rebuild_fraction=0.0)
-        op = factorize(grid_graph, cfg, seed=0)
-        _, report = op.update(EdgeEdits.reweights([0], [2.0]))
-        assert report.strategy == "rebuilt"
-        assert "disabled" in report.reason
-
     def test_damage_accumulates_across_patches_until_rebuild(self, grid_graph):
-        cfg = ChainConfig(update_rebuild_fraction=0.02)
-        op = factorize(grid_graph, cfg, seed=0)
+        op = factorize(grid_graph, seed=0)
+        # Each batch inserts ~6% of the edges, so the accumulated damage
+        # crosses REBUILD_DAMAGE after a few patches.
+        per_batch = math.ceil(0.3 * REBUILD_DAMAGE * grid_graph.num_edges)
         strategies = []
-        for i in range(12):
-            op, report = op.update(EdgeEdits.inserts([0], [2 + i], [1.0]))
+        for i in range(8):
+            v = 1 + (np.arange(per_batch) + i) % (grid_graph.n - 1)
+            op, report = op.update(EdgeEdits.inserts(np.zeros(per_batch), v, np.ones(per_batch)))
             strategies.append(report.strategy)
         assert "rebuilt" in strategies
         first_rebuild = strategies.index("rebuilt")
+        # no single batch crosses the threshold: the patches before it add up
+        assert first_rebuild >= 2
         assert all(s == "patched" for s in strategies[:first_rebuild])
         # after the rebuild the damage accumulator resets and patching resumes
         assert strategies[first_rebuild + 1] == "patched"
@@ -201,21 +207,20 @@ class TestStrategySelection:
 # --------------------------------------------------------------------------- #
 class TestRebuildBitIdentity:
     def test_rebuilt_operator_solves_bit_identical_to_fresh(self, grid_graph):
-        cfg = ChainConfig(update_rebuild_fraction=0.0)
-        op = factorize(grid_graph, cfg, seed=7)
-        edits = EdgeEdits.reweights([0, 1, 2], [2.0, 3.0, 4.0])
+        op = factorize(grid_graph, seed=7)
+        edits = _past_threshold(grid_graph)
         rebuilt, report = op.update(edits)
         assert report.strategy == "rebuilt"
         mutated = grid_graph.apply_edits(edits)
-        fresh = factorize(mutated, cfg, seed=7)
+        fresh = factorize(mutated, seed=7)
         b = _rhs(mutated)
         assert np.array_equal(rebuilt.solve(b, tol=SOLVE_TOL).x, fresh.solve(b, tol=SOLVE_TOL).x)
 
     def test_rebuild_uses_original_factorize_seed(self, grid_graph):
-        cfg = ChainConfig(update_rebuild_fraction=0.0)
-        op = factorize(grid_graph, cfg, seed=42)
+        op = factorize(grid_graph, seed=42)
         assert op.factorize_seed == 42
-        rebuilt, _ = op.update(EdgeEdits.reweights([0], [2.0]))
+        rebuilt, report = op.update(_past_threshold(grid_graph))
+        assert report.strategy == "rebuilt"
         assert rebuilt.factorize_seed == 42
 
 
@@ -264,7 +269,7 @@ class TestValidationAndReport:
         _, report = op.update(EdgeEdits.reweights([0, 1], [2.0, 2.0]))
         assert isinstance(report, UpdateReport)
         assert report.num_edits == 2
-        assert report.threshold == op.chain_config.update_rebuild_fraction
+        assert report.threshold == REBUILD_DAMAGE
         assert report.seconds >= 0.0
         assert report.accumulated_damage >= report.batch_damage >= 0.0
 

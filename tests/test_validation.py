@@ -5,7 +5,9 @@ that accepts weights, and non-finite right-hand sides are rejected by
 ``LaplacianOperator.solve`` and ``SolverService.submit`` — instead of
 running ``max_iterations`` of NaN arithmetic and returning a NaN answer.
 A tolerance that is not finite and positive is rejected by every entry
-point that takes one.
+point that takes one.  So are a count (level cap, bottom size, iteration
+cap, batch width, worker count) or a vertex id that is not an integer, and
+a vertex count that is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import repro
 from repro.graph import generators
 from repro.graph.edits import EdgeEdits
 from repro.graph.graph import Graph
-from repro.graph.io import graph_from_edge_list
+from repro.graph.io import graph_from_edge_blocks, graph_from_edge_list
 from repro.serving import ServiceConfig, SolverService
 
 BAD_WEIGHTS = [np.nan, np.inf, 0.0, -1.0]
@@ -128,3 +130,63 @@ def test_service_rejects_non_finite_request_alone():
         assert np.array_equal(report.x, ref.x)
         assert report.iterations == ref.iterations
         assert report.stats["serving_batch_width"] == 3.0
+
+
+COUNT_ENTRY_POINTS = {
+    "ChainConfig.max_levels=2.5": lambda op: repro.ChainConfig(max_levels=2.5),
+    "ChainConfig.max_levels=True": lambda op: repro.ChainConfig(max_levels=True),
+    "ChainConfig.bottom_size=2.5": lambda op: repro.ChainConfig(bottom_size=2.5),
+    "ChainConfig.kappa=inf": lambda op: repro.ChainConfig(kappa=np.inf),
+    "ChainConfig.kappa=nan": lambda op: repro.ChainConfig(kappa=np.nan),
+    "SolverConfig.max_iterations=2.5": lambda op: repro.SolverConfig(max_iterations=2.5),
+    "solve.max_iterations=2.5": lambda op: op.solve(np.zeros(op.n), max_iterations=2.5),
+    "solve.max_iterations=True": lambda op: op.solve(np.zeros(op.n), max_iterations=True),
+    "ServiceConfig.max_batch=2.5": lambda op: ServiceConfig(max_batch=2.5),
+    "ServiceConfig.max_batch=True": lambda op: ServiceConfig(max_batch=True),
+    "ServiceConfig.executor_workers=2.5": lambda op: ServiceConfig(executor_workers=2.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_rejects_non_integer_counts(grid_operator, entry):
+    _, op = grid_operator
+    with pytest.raises(ValueError):
+        COUNT_ENTRY_POINTS[entry](op)
+
+
+BAD_IDS = {
+    "fractional": ([0.5, 1.2], [1.7, 2.9]),
+    "nan": ([np.nan], [1]),
+    "inf": ([np.inf], [1]),
+}
+
+ID_ENTRY_POINTS = {
+    "Graph": lambda u, v: Graph(3, u, v),
+    "graph_from_edge_blocks": lambda u, v: graph_from_edge_blocks(
+        3, [(np.asarray(u), np.asarray(v), np.ones(len(u)))]
+    ),
+    "EdgeEdits.inserts": lambda u, v: EdgeEdits.inserts(u, v, np.ones(len(u))),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_IDS))
+@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+def test_rejects_non_integer_vertex_ids(entry, bad):
+    with pytest.raises(TypeError, match="integer array"):
+        ID_ENTRY_POINTS[entry](*BAD_IDS[bad])
+
+
+@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+def test_integral_float_vertex_ids_still_accepted(entry):
+    ID_ENTRY_POINTS[entry]([0.0, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", [-1, 3.7, True], ids=["negative", "fractional", "bool"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: Graph(n, [], []), lambda n: graph_from_edge_blocks(n, [])],
+    ids=["Graph", "graph_from_edge_blocks"],
+)
+def test_rejects_bad_vertex_count(build, n):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        build(n)
