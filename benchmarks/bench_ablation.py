@@ -16,7 +16,6 @@ from repro.core.config import ChainConfig
 from repro.core.operator import factorize
 from repro.graph import generators
 from repro.graph.laplacian import graph_to_laplacian
-from repro.pram.model import CostModel
 from repro.util.records import ExperimentRow
 
 
@@ -66,8 +65,7 @@ class TestE11Ablations:
             rows = []
             for label, bottom in [("m^(1/3) bottom", max(40, int(round(g.num_edges ** (1 / 3))))),
                                   ("large bottom (n/3)", g.n // 3)]:
-                cost = CostModel()
-                op = factorize(g, ChainConfig(bottom_size=bottom, kappa=49.0), seed=0, cost=cost)
+                op = factorize(g, ChainConfig(bottom_size=bottom, kappa=49.0), seed=0)
                 report = op.solve(b, tol=1e-8)
                 rows.append(
                     ExperimentRow(
@@ -77,8 +75,8 @@ class TestE11Ablations:
                         measured={
                             "levels": op.chain.depth,
                             "outer_iterations": report.iterations,
-                            "work": cost.work,
-                            "depth": cost.depth,
+                            "work": op.setup_work + report.work,
+                            "depth": op.setup_depth + report.depth,
                         },
                     )
                 )

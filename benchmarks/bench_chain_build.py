@@ -59,7 +59,6 @@ from repro.core.chain_cache import clear_chain_cache
 from repro.core.config import ChainConfig
 from repro.core.operator import factorize
 from repro.graph import generators
-from repro.pram.model import CostModel
 from repro.util.memprof import read_rss_bytes, read_peak_rss_bytes, reset_peak_rss
 
 #: Pre-refactor end-to-end ``factorize()`` wall time on the 20k-vertex
@@ -121,11 +120,10 @@ def measure_workload(
     graph = make_graph()
     clear_chain_cache()
     gc.collect()
-    cost = CostModel()
     rss_before = read_rss_bytes()
     peak_reset = reset_peak_rss()
     t0 = time.perf_counter()
-    op = factorize(graph, chain_config, seed=seed, cost=cost)
+    op = factorize(graph, chain_config, seed=seed)
     wall = time.perf_counter() - t0
     peak_rss = read_peak_rss_bytes()
     stats = op.chain.stats
@@ -149,8 +147,8 @@ def measure_workload(
         "setup_seconds": wall,
         "stage_seconds": stages,
         "stage_seconds_accounted": float(sum(stages.values())),
-        "setup_work": cost.work,
-        "setup_depth": cost.depth,
+        "setup_work": op.setup_work,
+        "setup_depth": op.setup_depth,
         "index_dtype": str(stats.get("index_dtype", "")),
         "max_levels": (chain_config or ChainConfig()).max_levels,
         "memory": memory,

@@ -49,7 +49,6 @@ from repro.linalg.cg import conjugate_gradient
 from repro.linalg.direct import solve_laplacian_direct
 from repro.linalg.jacobi import jacobi_preconditioner
 from repro.linalg.norms import relative_a_norm_error
-from repro.pram.model import CostModel
 from repro.util.records import ExperimentRow
 
 
@@ -143,24 +142,25 @@ class TestE8WorkDepthScaling:
             rows = []
             for size in sizes:
                 g = generators.grid_2d(size, size)
-                cost = CostModel()
                 # Faithful chain termination at ~m^(1/3) for the depth claim.
                 config = ChainConfig(
                     bottom_size=max(40, int(round(g.num_edges ** (1 / 3)))),
                     kappa=49.0,
                 )
-                op = factorize(g, config, seed=0, cost=cost)
+                op = factorize(g, config, seed=0)
                 report = op.solve(_rhs(g), tol=1e-6)
+                work = op.setup_work + report.work
+                depth = op.setup_depth + report.depth
                 rows.append(
                     ExperimentRow(
                         "E8",
                         f"grid{size}",
                         params={"m": g.num_edges},
                         measured={
-                            "work": cost.work,
-                            "depth": cost.depth,
-                            "work_over_n3": cost.work / float(g.n) ** 3,
-                            "depth_over_work": cost.depth / cost.work,
+                            "work": work,
+                            "depth": depth,
+                            "work_over_n3": work / float(g.n) ** 3,
+                            "depth_over_work": depth / work,
                             "m_1_3": round(g.num_edges ** (1 / 3), 1),
                             "outer": report.iterations,
                         },
@@ -210,19 +210,18 @@ def _multi_rhs_row(name: str, g, batch: np.ndarray, solver: Optional[SolverConfi
     """
     k = batch.shape[1]
 
-    cost_batched = CostModel()
     t0 = time.time()
-    op = factorize(g, solver=solver, seed=0, cost=cost_batched)
+    op = factorize(g, solver=solver, seed=0)
     t_setup = time.time() - t0
     t0 = time.time()
     batched = op.solve(batch, tol=1e-8)
     t_batched = time.time() - t0
 
-    cost_looped = CostModel()
+    looped_work = 0.0
     t0 = time.time()
     for j in range(k):
-        loop_op = factorize(g, solver=solver, seed=0, cost=cost_looped)
-        loop_op.solve(batch[:, j], tol=1e-8)
+        loop_op = factorize(g, solver=solver, seed=0)
+        looped_work += loop_op.setup_work + loop_op.solve(batch[:, j], tol=1e-8).work
     t_looped = time.time() - t0
 
     row = ExperimentRow(
@@ -237,10 +236,10 @@ def _multi_rhs_row(name: str, g, batch: np.ndarray, solver: Optional[SolverConfi
             "batched_solve_depth": batched.depth,
             "batched_seconds": t_batched,
             "batched_total_work": op.setup_work + batched.work,
-            "looped_total_work": cost_looped.work,
+            "looped_total_work": looped_work,
             "looped_seconds": t_looped,
             "batched_residual": batched.relative_residual,
-            "work_ratio": (op.setup_work + batched.work) / cost_looped.work,
+            "work_ratio": (op.setup_work + batched.work) / looped_work,
             "wall_speedup": t_looped / max(t_batched + t_setup, 1e-9),
         },
     )

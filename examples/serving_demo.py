@@ -63,7 +63,7 @@ def main() -> None:
             return await async_burst(service, fp_grid, fp_er, grid_pool, er_pool)
 
     reports = asyncio.run(run_async())
-    widths = sorted({int(r.stats["serving_batch_width"]) for r in reports})
+    widths = sorted({r.batch_width for r in reports})
     print(f"async burst: {len(reports)} requests served in batches of widths {widths}")
 
     # Bit-identity spot check: the served answer equals a solo solve at the

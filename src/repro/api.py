@@ -38,7 +38,6 @@ from repro.core.operator import (
 )
 from repro.core.update import UpdateReport
 from repro.graph.edits import EdgeEdits
-from repro.pram.model import CostModel
 from repro.serving import ServiceConfig, ServiceStats, SolverService
 from repro.util.rng import RngLike
 
@@ -76,10 +75,14 @@ def solve(
     chain: Optional[ChainConfig] = None,
     solver: Optional[SolverConfig] = None,
     seed: RngLike = None,
-    cost: Optional[CostModel] = None,
     use_cache: bool = True,
 ) -> SolveReport:
     """Solve ``matrix @ x = b`` with the paper's solver (Theorem 1.1).
+
+    The report's ``work``/``depth`` price this solve alone, the same on a
+    cache hit as on a miss.  The setup price lives on the operator: call
+    :func:`~repro.core.operator.factorize` and read its ``setup_work`` /
+    ``setup_depth``.
 
     Parameters
     ----------
@@ -96,10 +99,6 @@ def solve(
     seed:
         RNG seed for the randomized setup phase.  Integer seeds make the
         factorization cacheable.
-    cost:
-        Optional cost model to charge.  On a cache hit the cached operator
-        keeps its own accounting, so the solve's work/depth delta is charged
-        to ``cost`` explicitly.
     use_cache:
         Consult the process-level chain cache (default on; integer seeds
         only — see :mod:`repro.core.chain_cache`).
@@ -110,10 +109,5 @@ def solve(
     if solver is not None:
         tol = solver.tol if tol is None else tol
         max_iterations = solver.max_iterations if max_iterations is None else max_iterations
-    operator = factorize(matrix, chain, solver, seed=seed, cost=cost, cache=use_cache)
-    report = operator.solve(b, tol=tol, max_iterations=max_iterations, method=method)
-    if cost is not None and cost is not operator.cost:
-        # The operator came from the cache with its own cost model; mirror
-        # this solve's charges into the caller's model.
-        cost.charge(work=report.work, depth=report.depth)
-    return report
+    operator = factorize(matrix, chain, solver, seed=seed, cache=use_cache)
+    return operator.solve(b, tol=tol, max_iterations=max_iterations, method=method)

@@ -227,7 +227,6 @@ def akpw_spanning_tree(
         contracted, surviving, _ = contract_vertices(current, decomp.labels, cost=cost)
         current = contracted
         orig_ids = orig_ids[surviving]
-        cost.bump("akpw_iterations")
         if j >= max_class and current.num_edges == 0:
             break
 
@@ -240,7 +239,6 @@ def akpw_spanning_tree(
         leftover = minimum_spanning_tree_edges(current, cost=cost)
         if leftover.size:
             tree_edges.append(orig_ids[leftover])
-            cost.bump("akpw_fallback_edges", float(leftover.size))
 
     result_edges = (
         np.unique(np.concatenate(tree_edges)) if tree_edges else np.empty(0, dtype=np.int64)

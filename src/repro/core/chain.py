@@ -270,7 +270,6 @@ def build_chain(
         # on the next one (equivalent to increasing kappa, Lemma 6.2's knob).
         if nxt.num_edges > 0.85 * current.num_edges and nxt.n > bottom_size:
             level_kappa *= 2.0
-            cost.bump("chain_kappa_escalations")
         current = nxt
 
     bottom = levels[-1]

@@ -202,7 +202,6 @@ def split_graph(
         iteration_out.extend([t] * uniq_owners.size)
         alive[claimed] = False
         charge_filter(cost, num_alive)
-        cost.bump("split_graph_iterations")
 
     # Safety net: any vertex not covered (cannot happen when the loop ran to
     # T, since then every alive vertex is its own center) becomes a
@@ -370,7 +369,6 @@ def partition(
             decomp.stats["cut_bound"] = bound
             decomp.stats["max_cut_fraction"] = max(fractions.values()) if fractions else 0.0
             return decomp
-        cost.bump("partition_retries")
     assert last is not None
     last.stats["retries"] = float(max_retries)
     last.stats["cut_bound"] = bound

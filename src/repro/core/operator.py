@@ -28,24 +28,30 @@ outer CG preconditioned by the chain (inner CG or inner Chebyshev),
 (:class:`~repro.linalg.direct.FactorizedLaplacian`, the engine of the
 chain's bottom level).
 
+Accounting: Theorem 1.1 prices the solver in two parts, and each number has
+one owner.  :attr:`LaplacianOperator.setup_work` / ``setup_depth`` hold the
+one-time factorization plus the lazy initializers below;
+:attr:`SolveReport.work` / ``depth`` hold one solve.
+
 Concurrency: :meth:`LaplacianOperator.solve` is **re-entrant**.  Every call
-charges a private :class:`~repro.pram.model.CostModel` (a child of the
-operator's model) that is passed down the recursion; all per-solve charging
-(outer iterations, inner smoothing, elimination transfers, bottom solves)
-goes to it, never to shared operator state, so concurrent solves on one
-operator return bit-identical ``x``/``work``/``depth`` to serial runs.  The
-one-time lazy initializers (Chebyshev bound calibration, the ``direct``
-factor and the Jacobi diagonal) are guarded by a setup lock and charge
-the operator's *setup* accounting — their cost never appears in any
-:class:`SolveReport`, cold start or warm.
+charges a fresh private :class:`~repro.pram.model.CostModel` that is passed
+down the recursion; all per-solve charging (outer iterations, inner
+smoothing, elimination transfers, bottom solves) goes to it and then to the
+report, never to shared operator state, so concurrent solves on one operator
+return bit-identical ``x``/``work``/``depth`` to serial runs.  The one-time
+lazy initializers (Chebyshev bound calibration, the ``direct`` factor and
+the Jacobi diagonal) add their cost to ``setup_work``/``setup_depth`` under
+the setup lock they already hold — their cost never appears in any
+:class:`SolveReport`, cold start or warm.  After warm-up a solve writes no
+operator state and takes no lock.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,13 +94,15 @@ class SolveReport:
     converged:
         Whether the tolerance was met (every column, for a batch).
     work:
-        Machine-independent work charged during the solve (operation counts
-        in the PRAM cost model).
+        Machine-independent work charged during this solve (operation counts
+        in the PRAM cost model).  Setup is not included: it lives on
+        :attr:`LaplacianOperator.setup_work`.
     depth:
-        Depth charged during the solve.  Batched columns run in lockstep, so
+        Depth charged during this solve.  Batched columns run in lockstep, so
         this does **not** scale with the batch width.
-    stats:
-        Additional diagnostics (chain depth, batch width, setup cost, ...).
+    batch_width:
+        Columns solved together: ``k`` for an ``(n, k)`` solve and for every
+        report :meth:`split` from it, 1 for a vector, 0 for an empty batch.
     column_iterations, column_residuals, column_converged:
         Per-column diagnostics for batched solves (``None`` for vector
         right-hand sides).
@@ -106,7 +114,7 @@ class SolveReport:
     converged: bool
     work: float
     depth: float
-    stats: Dict[str, float] = field(default_factory=dict)
+    batch_width: int
     column_iterations: Optional[np.ndarray] = None
     column_residuals: Optional[np.ndarray] = None
     column_converged: Optional[np.ndarray] = None
@@ -126,12 +134,11 @@ class SolveReport:
           to the batch's work — the fair per-request charge for a lockstep
           batch);
         * ``depth`` is the batch depth unchanged: columns run in lockstep,
-          so every request observes the full critical path.
+          so every request observes the full critical path;
+        * ``batch_width`` stays ``k``.
 
-        Each per-column ``stats`` dict carries ``batch_width`` (the original
-        ``k``) and ``work_amortized = 1.0`` to flag the convention.  A
-        vector report splits into ``[self]``; an empty ``(n, 0)`` batch into
-        ``[]``.
+        A vector report splits into ``[self]``; an empty ``(n, 0)`` batch
+        into ``[]``.
         """
         if self.x.ndim != 2:
             return [self]
@@ -142,23 +149,18 @@ class SolveReport:
         assert self.column_residuals is not None
         assert self.column_converged is not None
         share = self.work / k
-        reports = []
-        for j in range(k):
-            stats = dict(self.stats)
-            stats["batch_width"] = float(k)
-            stats["work_amortized"] = 1.0
-            reports.append(
-                SolveReport(
-                    x=self.x[:, j].copy(),
-                    iterations=int(self.column_iterations[j]),
-                    relative_residual=float(self.column_residuals[j]),
-                    converged=bool(self.column_converged[j]),
-                    work=share,
-                    depth=self.depth,
-                    stats=stats,
-                )
+        return [
+            SolveReport(
+                x=self.x[:, j].copy(),
+                iterations=int(self.column_iterations[j]),
+                relative_residual=float(self.column_residuals[j]),
+                converged=bool(self.column_converged[j]),
+                work=share,
+                depth=self.depth,
+                batch_width=k,
             )
-        return reports
+            for j in range(k)
+        ]
 
 
 class LaplacianOperator:
@@ -181,7 +183,8 @@ class LaplacianOperator:
         original: Optional[sp.spmatrix],
         original_n: int,
         rng: np.random.Generator,
-        cost: CostModel,
+        setup_work: float,
+        setup_depth: float,
         factorize_seed: Optional[int] = None,
     ) -> None:
         self.graph = graph
@@ -191,8 +194,11 @@ class LaplacianOperator:
         self.reduction = reduction
         self._original = original
         self._original_n = int(original_n)
-        self.cost = cost
         self._rng = rng
+        #: Work/depth of the one-time setup: the factorization (or patch)
+        #: that built this operator plus every lazy initializer run since.
+        self.setup_work = setup_work
+        self.setup_depth = setup_depth
         #: The integer seed this operator was factorized under (``None`` for
         #: generator / ``None`` seeds).  :meth:`update` rebuilds with it so a
         #: threshold-triggered full rebuild is bit-identical to a fresh
@@ -225,18 +231,15 @@ class LaplacianOperator:
         # Chebyshev bounds (Lemma 6.7) — calibrated eagerly when the
         # configured method is "chebyshev", on demand otherwise — plus the
         # ``direct`` factor and the diagonal preconditioner.  The
-        # setup lock serializes cold-start initialization so concurrent
-        # solves neither race the fills nor duplicate the work; the
-        # accounting lock serializes merges into the cumulative cost model.
+        # setup lock serializes cold-start initialization (and its charges
+        # to ``setup_work``/``setup_depth``) so concurrent solves neither
+        # race the fills nor duplicate the work.
         self._setup_lock = threading.Lock()
-        self._accounting_lock = threading.Lock()
         self._chebyshev_bounds: List[Optional[Tuple[float, float]]] = [None] * chain.depth
         self._chebyshev_ready = False
         self._direct_factor: Optional[FactorizedLaplacian] = None
         self._jacobi_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-        self.setup_work = cost.work
-        self.setup_depth = cost.depth
         if solver_config.method == "chebyshev":
             self.ensure_chebyshev_bounds()
 
@@ -276,32 +279,22 @@ class LaplacianOperator:
     # ------------------------------------------------------------------ #
     # one-time lazy state
     # ------------------------------------------------------------------ #
-    def _charge_setup(self, work: float, depth: float) -> None:
-        """Fold one-time lazy-initializer cost into the setup accounting.
-
-        Lazy setup (Chebyshev calibration, the ``direct`` factorization)
-        is charged here — to the operator, never to a solve context — so a
-        solve's reported ``work``/``depth`` is identical whether or not it
-        happened to be the call that triggered initialization.
-        """
-        with self._accounting_lock:
-            self.cost.charge(work=work, depth=depth)
-            self.setup_work += work
-            self.setup_depth += depth
-
     def jacobi_preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """Diagonal preconditioner of the (reduced) Laplacian (baseline).
 
-        Setup charges land *before* the initialized state is published (here
-        and in the other lazy initializers): a thread that takes the
-        unlocked fast path can therefore never observe setup state whose
-        cost has not yet reached ``setup_work``/``setup_depth``.
+        Lazy setup is charged to ``setup_work``/``setup_depth``, never to a
+        solve, so a solve reports the same ``work``/``depth`` whether or not
+        it triggered initialization.  The charge lands *before* the state is
+        published (here and in the other lazy initializers): a thread that
+        takes the unlocked fast path can therefore never observe setup state
+        whose cost has not yet been charged.
         """
         if self._jacobi_apply is None:
             with self._setup_lock:
                 if self._jacobi_apply is None:
                     apply = jacobi_preconditioner(self.laplacian)
-                    self._charge_setup(float(self.graph.n), 1.0)
+                    self.setup_work += float(self.graph.n)
+                    self.setup_depth += 1.0
                     self._jacobi_apply = apply
         return self._jacobi_apply
 
@@ -317,9 +310,8 @@ class LaplacianOperator:
             with self._setup_lock:
                 if self._direct_factor is None:
                     factor = FactorizedLaplacian(self.laplacian, self._projector)
-                    self._charge_setup(
-                        float(max(factor.factor_nnz, factor.n)), log2ceil(factor.n) ** 2
-                    )
+                    self.setup_work += float(max(factor.factor_nnz, factor.n))
+                    self.setup_depth += log2ceil(factor.n) ** 2
                     self._direct_factor = factor
         return self._direct_factor
 
@@ -336,14 +328,14 @@ class LaplacianOperator:
         calibrate exactly once (the losers of the race block until the bounds
         are published, then proceed with them).  Calibration cost — including
         the recursive preconditioner applications it performs — is charged to
-        the setup accounting via a private cost model.
+        ``setup_work``/``setup_depth`` via a private cost model.
         """
         if self._chebyshev_ready:
             return
         with self._setup_lock:
             if self._chebyshev_ready:
                 return
-            cost = self.cost.child()
+            cost = CostModel()
             for i in range(self.chain.depth - 2, 0, -1):
                 level = self.chain.levels[i]
                 lo, hi = estimate_extreme_eigenvalues(
@@ -355,7 +347,8 @@ class LaplacianOperator:
                 )
                 self._chebyshev_bounds[i] = (lo, hi)
             # Charge before publishing readiness (see jacobi_preconditioner).
-            self._charge_setup(cost.work, cost.depth)
+            self.setup_work += cost.work
+            self.setup_depth += cost.depth
             self._chebyshev_ready = True
 
     # ------------------------------------------------------------------ #
@@ -444,7 +437,7 @@ class LaplacianOperator:
     def _solve_direct(self, rhs: np.ndarray, tol: float, cost: CostModel) -> BatchedCGResult:
         """One exact application of the top-level sparse factor.
 
-        The one-time factorization is charged to the setup accounting inside
+        The one-time factorization is charged to ``setup_work`` inside
         :meth:`direct_factor`; only the triangular sweeps land on ``cost``.
         """
         x = self._apply_factor(self.direct_factor(), rhs, cost)
@@ -502,7 +495,9 @@ class LaplacianOperator:
         This method is re-entrant: concurrent calls on one operator (cached
         or not) are safe and report the same ``x``/``work``/``depth`` bit for
         bit as serial calls.  See the module docstring for how per-call
-        cost models and the setup lock make that hold.
+        cost models and the setup lock make that hold.  The report's
+        ``work``/``depth`` cover this solve only; setup stays on
+        :attr:`setup_work`/``setup_depth``.
         """
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2):
@@ -525,7 +520,7 @@ class LaplacianOperator:
         if width == 0:
             return self._empty_report()
 
-        cost = self.cost.child()
+        cost = CostModel()
 
         if self.reduction is not None and not self.reduction.trivial:
             rhs = self.reduction.expand_rhs(rhs_block)
@@ -557,30 +552,18 @@ class LaplacianOperator:
             x_out = x
             rel = result.residuals
 
-        report = SolveReport(
+        return SolveReport(
             x=x_out[:, 0] if single else x_out,
             iterations=int(result.iterations.max(initial=0)),
             relative_residual=float(rel.max(initial=0.0)),
             converged=bool(result.converged.all()),
             work=cost.work,
             depth=cost.depth,
-            stats={
-                "chain_levels": float(self.chain.depth),
-                "inner_iterations": float(self.inner_iterations),
-                "setup_work": self.setup_work,
-                "setup_depth": self.setup_depth,
-                "batch_width": float(width),
-            },
+            batch_width=width,
             column_iterations=None if single else result.iterations.copy(),
             column_residuals=None if single else np.asarray(rel, dtype=float).copy(),
             column_converged=None if single else result.converged.copy(),
         )
-        # Cumulative operator-level accounting (what ``op.cost`` exposes to
-        # benchmarks and caller-supplied models) — the only cross-solve
-        # mutation left, serialized here.
-        with self._accounting_lock:
-            self.cost.sequential(cost)
-        return report
 
     def update(self, edits):
         """Apply a batched edge edit to this factorized system.
@@ -615,13 +598,7 @@ class LaplacianOperator:
             converged=True,
             work=0.0,
             depth=0.0,
-            stats={
-                "chain_levels": float(self.chain.depth),
-                "inner_iterations": float(self.inner_iterations),
-                "setup_work": self.setup_work,
-                "setup_depth": self.setup_depth,
-                "batch_width": 0.0,
-            },
+            batch_width=0,
             column_iterations=np.zeros(0, dtype=np.int64),
             column_residuals=np.zeros(0),
             column_converged=np.zeros(0, dtype=bool),
@@ -634,7 +611,6 @@ def factorize(
     solver: Optional[SolverConfig] = None,
     *,
     seed: RngLike = None,
-    cost: Optional[CostModel] = None,
     cache: bool = False,
     memory_profile: bool = False,
 ) -> LaplacianOperator:
@@ -642,7 +618,10 @@ def factorize(
 
     This is the expensive phase of Theorem 1.1 (near-linear work, polylog
     depth); the returned operator amortizes it over arbitrarily many
-    :meth:`~LaplacianOperator.solve` calls.
+    :meth:`~LaplacianOperator.solve` calls.  Its work and depth are charged
+    to a private :class:`~repro.pram.model.CostModel` and recorded once, on
+    the operator's ``setup_work``/``setup_depth``; a cache hit returns an
+    operator with the same numbers.
 
     Parameters
     ----------
@@ -654,9 +633,6 @@ def factorize(
         Frozen configuration objects; ``None`` selects the defaults.
     seed:
         RNG seed controlling every randomized component of the setup.
-    cost:
-        Optional cost model; defaults to a fresh enabled :class:`CostModel`
-        so setup/solve work and depth are always meaningful.
     cache:
         Consult and populate the process-level chain cache
         (:mod:`repro.core.chain_cache`).  Only integer-seeded
@@ -693,15 +669,9 @@ def factorize(
         if key is not None:
             hit = chain_cache.lookup(key)
             if hit is not None:
-                # No setup work happens on a hit — that is the point of the
-                # cache — so nothing is charged to a caller-supplied model.
                 return hit
 
-    # A cacheable operator is shared between future callers, so it must not
-    # capture this caller's cost model — it accounts into a private model
-    # and the setup charges are mirrored to the caller below.
-    shared = key is not None
-    model = CostModel() if (shared or cost is None) else cost
+    model = CostModel()
     rng = as_rng(seed)
 
     reduction: Optional[GrembanReduction] = None
@@ -717,6 +687,9 @@ def factorize(
         original_n = mat.shape[0]
         original = mat
         graph = laplacian_to_graph(reduction.laplacian)
+        # The operator reads only the reduction's ``n``/``trivial``; the
+        # reduced Laplacian lives on as ``graph``, so drop the matrix.
+        reduction = replace(reduction, laplacian=None)
 
     built = build_chain(
         graph, config=chain_config, seed=rng, cost=model, memory_profile=memory_profile
@@ -730,13 +703,12 @@ def factorize(
         original=original,
         original_n=original_n,
         rng=rng,
-        cost=model,
+        setup_work=model.work,
+        setup_depth=model.depth,
         factorize_seed=int(seed)
         if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
         else None,
     )
     if key is not None:
         chain_cache.store(key, operator)
-        if cost is not None:
-            cost.charge(work=operator.setup_work, depth=operator.setup_depth)
     return operator

@@ -305,7 +305,6 @@ def sparse_akpw(
         contracted, surviving, _ = contract_vertices(current, decomp.labels, cost=cost)
         current = contracted
         orig_ids = orig_ids[surviving]
-        cost.bump("sparse_akpw_iterations")
 
     # Spanning safety net, as in akpw_spanning_tree.
     if current.num_edges > 0:

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.core.chain import ChainLevel, PreconditionerChain
 from repro.graph.laplacian import graph_to_laplacian
-from repro.pram.model import CostModel, log2ceil
+from repro.pram.model import log2ceil
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import LaplacianOperator
@@ -270,12 +270,7 @@ def update_operator(
     # The constructor re-derives the top and inner-level null-space
     # projectors (the bottom's comes with its reused factor) and the
     # Chebyshev bound slots (re-calibrated lazily — or eagerly for the
-    # chebyshev method).
-    model = CostModel()
-    model.charge(
-        work=float(max(new_graph.num_edges, 1)),
-        depth=log2ceil(max(new_graph.n, 2)),
-    )
+    # chebyshev method).  The patch's own charge is its setup cost.
     new_op = LaplacianOperator(
         graph=new_graph,
         chain=new_chain,
@@ -285,7 +280,8 @@ def update_operator(
         original=None,
         original_n=new_graph.n,
         rng=op._rng,
-        cost=model,
+        setup_work=float(max(new_graph.num_edges, 1)),
+        setup_depth=log2ceil(max(new_graph.n, 2)),
         factorize_seed=op.factorize_seed,
     )
     new_op._update_state = new_state

@@ -99,14 +99,15 @@ class GrembanReduction:
         The (2n+1) x (2n+1) graph Laplacian (the last vertex is the ground).
         When the input had no positive off-diagonals and no diagonal excess
         the reduction is trivial and ``laplacian`` is the input itself
-        (``trivial=True``).
+        (``trivial=True``).  ``None`` in the copy a factorized operator
+        keeps, which needs only the maps below.
     n:
         Dimension of the original system.
     trivial:
         Whether the input was already a Laplacian.
     """
 
-    laplacian: sp.csr_matrix
+    laplacian: Optional[sp.csr_matrix]
     n: int
     trivial: bool
 

@@ -1,11 +1,8 @@
 """PRAM work-depth accounting.
 
-The :class:`CostModel` is a pair of counters (work, depth) together with a
-small amount of structure for expressing *parallel composition*: when an
-algorithm runs several sub-tasks in parallel, the work of the composition is
-the sum of the sub-task works while the depth is the maximum.  Algorithms
-express this via :meth:`CostModel.parallel` which yields child models and
-merges them on exit.
+The :class:`CostModel` is a pair of counters (work, depth) plus a round
+count.  Sub-computations that run one after another compose with
+:meth:`CostModel.sequential`: work and depth both add up.
 
 The numbers reported are operation counts in the same units the paper uses:
 one unit per edge/vertex touched per round, ``log n`` units of depth per
@@ -14,19 +11,16 @@ paper references for parallel ball growing).
 
 Threading contract: a :class:`CostModel` is **single-owner** mutable state —
 charges are plain read-modify-write float updates with no internal locking.
-Code that runs concurrently must charge into a private model (obtained with
-:meth:`CostModel.child`) and merge it into the shared one afterwards
-(:meth:`CostModel.sequential` / :meth:`CostModel.parallel_merge`), with the
-merge serialized by the caller.  This is how the solver's per-call solve
-contexts keep ``SolveReport.work``/``depth`` exact under concurrent solves.
+Code that runs concurrently charges a fresh model of its own.  This is how
+the solver keeps ``SolveReport.work``/``depth`` exact under concurrent
+solves: each solve charges a private model and hands its totals to its
+report, and nothing merges them back into shared state.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
 
 
 @dataclass
@@ -42,20 +36,15 @@ class CostModel:
     rounds:
         Number of global synchronization rounds charged (useful for
         sanity-checking e.g. that BFS depth equals the radius).
-    counters:
-        Free-form named counters (e.g. ``"bfs_rounds"``, ``"cut_edges"``)
-        that algorithms may bump for diagnostics.
+    enabled:
+        ``False`` makes every charge a no-op (see :func:`null_cost`).
     """
 
     work: float = 0.0
     depth: float = 0.0
     rounds: int = 0
-    counters: Dict[str, float] = field(default_factory=dict)
     enabled: bool = True
 
-    # ------------------------------------------------------------------ #
-    # basic charging
-    # ------------------------------------------------------------------ #
     def charge(self, work: float = 0.0, depth: float = 0.0) -> None:
         """Charge ``work`` units of work and ``depth`` units of depth."""
         if not self.enabled:
@@ -71,24 +60,6 @@ class CostModel:
         self.depth += depth
         self.rounds += 1
 
-    def bump(self, name: str, amount: float = 1.0) -> None:
-        """Increment a named diagnostic counter."""
-        if not self.enabled:
-            return
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    # ------------------------------------------------------------------ #
-    # composition
-    # ------------------------------------------------------------------ #
-    def child(self) -> "CostModel":
-        """A fresh zeroed model inheriting only the ``enabled`` flag.
-
-        The building block of the single-owner threading contract (see the
-        module docstring): each concurrent sub-computation charges a child
-        and the owner of the parent merges the children when they finish.
-        """
-        return CostModel(enabled=self.enabled)
-
     def sequential(self, other: "CostModel") -> None:
         """Merge ``other`` as if it ran *after* everything charged so far."""
         if not self.enabled:
@@ -96,53 +67,6 @@ class CostModel:
         self.work += other.work
         self.depth += other.depth
         self.rounds += other.rounds
-        for k, v in other.counters.items():
-            self.counters[k] = self.counters.get(k, 0.0) + v
-
-    def parallel_merge(self, children: List["CostModel"]) -> None:
-        """Merge ``children`` as tasks that ran concurrently.
-
-        Work adds up; depth increases by the maximum child depth.
-        """
-        if not self.enabled or not children:
-            return
-        self.work += sum(c.work for c in children)
-        self.depth += max(c.depth for c in children)
-        self.rounds += max(c.rounds for c in children)
-        for c in children:
-            for k, v in c.counters.items():
-                self.counters[k] = self.counters.get(k, 0.0) + v
-
-    @contextmanager
-    def parallel(self, n_tasks: int) -> Iterator[List["CostModel"]]:
-        """Context manager yielding ``n_tasks`` child models.
-
-        On exit the children are merged with parallel semantics (sum of work,
-        max of depth).  Example::
-
-            with cost.parallel(len(centers)) as children:
-                for child, c in zip(children, centers):
-                    grow_ball(..., cost=child)
-        """
-        children = [CostModel(enabled=self.enabled) for _ in range(n_tasks)]
-        yield children
-        self.parallel_merge(children)
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, float]:
-        """Return the current totals as a plain dict (for result tables)."""
-        out = {"work": self.work, "depth": self.depth, "rounds": float(self.rounds)}
-        out.update(self.counters)
-        return out
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.work = 0.0
-        self.depth = 0.0
-        self.rounds = 0
-        self.counters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CostModel(work={self.work:.3g}, depth={self.depth:.3g}, rounds={self.rounds})"
@@ -162,40 +86,6 @@ NULL_COST = _NullCost()
 def null_cost() -> CostModel:
     """Return the shared no-op cost model."""
     return NULL_COST
-
-
-@dataclass
-class ParallelSection:
-    """Convenience wrapper for charging a named phase of an algorithm.
-
-    Example::
-
-        with ParallelSection(cost, "ball-growing") as sec:
-            ...
-            sec.charge_round(frontier_size)
-
-    On exit the section's totals are also recorded under
-    ``cost.counters["<name>_work"]`` / ``..._depth`` so benchmarks can break
-    work down per phase.
-    """
-
-    parent: CostModel
-    name: str
-    section: CostModel = field(default_factory=CostModel)
-
-    def __enter__(self) -> CostModel:
-        self.section = CostModel(enabled=self.parent.enabled)
-        return self.section
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and self.parent.enabled:
-            self.parent.sequential(self.section)
-            self.parent.counters[f"{self.name}_work"] = (
-                self.parent.counters.get(f"{self.name}_work", 0.0) + self.section.work
-            )
-            self.parent.counters[f"{self.name}_depth"] = (
-                self.parent.counters.get(f"{self.name}_depth", 0.0) + self.section.depth
-            )
 
 
 def log2ceil(n: int) -> float:

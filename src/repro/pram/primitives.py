@@ -1,7 +1,7 @@
 """Cost accounting for the standard parallel primitives.
 
 The paper's algorithms are built from a handful of classic work-efficient
-PRAM primitives (map, reduce, scan/prefix-sum, filter/pack, integer sort).
+PRAM primitives (map, reduce, filter, semisort, pointer jumping).
 These helpers charge the textbook work/depth of each primitive to a
 :class:`~repro.pram.model.CostModel`.  The actual data movement is done with
 NumPy: the parallel machine is simulated with vectorized sequential code,
@@ -9,8 +9,6 @@ and its work/depth is what these helpers charge.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.pram.model import CostModel, log2ceil
 
@@ -29,36 +27,11 @@ def charge_reduce(cost: CostModel, n: int) -> None:
     cost.charge(work=float(n), depth=log2ceil(n))
 
 
-def charge_scan(cost: CostModel, n: int) -> None:
-    """A parallel prefix sum over ``n`` items: O(n) work, O(log n) depth."""
-    if n <= 0:
-        return
-    cost.charge(work=2.0 * n, depth=2.0 * log2ceil(n))
-
-
 def charge_filter(cost: CostModel, n: int) -> None:
     """A parallel filter (map + scan + scatter): O(n) work, O(log n) depth."""
     if n <= 0:
         return
     cost.charge(work=3.0 * n, depth=2.0 * log2ceil(n) + 1.0)
-
-
-def charge_pack(cost: CostModel, n: int) -> None:
-    """Alias of :func:`charge_filter` (compaction of marked items)."""
-    charge_filter(cost, n)
-
-
-def charge_sort(cost: CostModel, n: int) -> None:
-    """A work-efficient parallel sort: O(n log n) work, O(log^2 n) depth.
-
-    The algorithms in the paper only need semisorting / integer sorting of
-    keys bounded by n, for which O(n) work randomized algorithms exist; we
-    charge the more conservative comparison-sort cost.
-    """
-    if n <= 1:
-        return
-    logn = log2ceil(n)
-    cost.charge(work=n * logn, depth=logn * logn)
 
 
 def charge_elimination_transfer(
@@ -72,8 +45,8 @@ def charge_elimination_transfer(
     round are independent but consecutive rounds are sequentially dependent.
 
     ``cost`` is whatever model owns the calling computation — on the solve
-    hot path that is the per-call solve context's model, never the shared
-    operator model (see the threading contract in :mod:`repro.pram.model`).
+    hot path that is the solve's private model (see the threading contract
+    in :mod:`repro.pram.model`).
     """
     cost.charge(
         work=float(num_eliminated + 1) * max(width, 1),

@@ -501,8 +501,5 @@ class SolverService:
             if request.future.done():  # cancelled in flight; batch unaffected
                 self._metrics.record_cancelled()
                 continue
-            column.stats["serving_batch_width"] = float(width)
-            column.stats["serving_coalesced"] = 1.0 if width >= 2 else 0.0
-            column.stats["serving_latency_seconds"] = now - request.enqueued_at
             request.future.set_result(column)
             self._metrics.record_served(now - request.enqueued_at)

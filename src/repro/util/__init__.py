@@ -1,18 +1,8 @@
-"""Shared utilities: RNG handling, validation helpers, result records."""
+"""Shared utilities: RNG handling, result records, dtypes, memory probes."""
 
 from repro.util.rng import as_rng, spawn_rngs
-from repro.util.validation import (
-    check_positive,
-    check_probability,
-    check_square,
-    check_vector,
-)
 
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "check_positive",
-    "check_probability",
-    "check_square",
-    "check_vector",
 ]

@@ -15,14 +15,15 @@ import repro
 from repro.core.chain_cache import (
     chain_cache_stats,
     clear_chain_cache,
+    estimate_operator_bytes,
     set_chain_cache_capacity,
 )
 from repro.core.config import SOLVE_METHODS, ChainConfig, SolverConfig, check_method
 from repro.core.operator import LaplacianOperator, factorize
 from repro.graph import generators
+from repro.graph.edits import EdgeEdits
 from repro.graph.laplacian import graph_to_laplacian
 from repro.linalg.direct import solve_laplacian_direct, solve_sdd_direct
-from repro.pram.model import CostModel
 
 
 @pytest.fixture(autouse=True)
@@ -134,20 +135,22 @@ class TestBatchedSolve:
         g = generators.grid_2d(14, 14)
         batch = _batch(g, 6)
 
-        cost_batched = CostModel()
-        op = factorize(g, seed=0, cost=cost_batched)
+        op = factorize(g, seed=0)
         batched = op.solve(batch, tol=1e-8)
         assert batched.converged
 
-        cost_looped = CostModel()
+        looped_work = looped_depth = 0.0
         for j in range(batch.shape[1]):
-            report = factorize(g, seed=0, cost=cost_looped).solve(batch[:, j], tol=1e-8)
+            loop_op = factorize(g, seed=0)
+            report = loop_op.solve(batch[:, j], tol=1e-8)
+            looped_work += loop_op.setup_work + report.work
+            looped_depth += loop_op.setup_depth + report.depth
             # residuals match: same factorization seed, same per-column path
             assert abs(report.relative_residual - batched.column_residuals[j]) <= 1e-12
             np.testing.assert_allclose(report.x, batched.x[:, j], atol=1e-10)
 
-        assert cost_batched.work < cost_looped.work
-        assert cost_batched.depth < cost_looped.depth
+        assert op.setup_work + batched.work < looped_work
+        assert op.setup_depth + batched.depth < looped_depth
 
     def test_gremban_path_under_batching(self):
         mat, b = generators.weighted_sdd_system(60, 150, seed=2)
@@ -314,31 +317,41 @@ class TestChainCache:
         assert stats.hits == 1 and stats.misses == 1
         np.testing.assert_allclose(r1.x, r2.x)
 
-    def test_cached_operator_not_bound_to_caller_cost_model(self):
-        """A shared cached operator must account into its own private model."""
-        g = generators.grid_2d(9, 9)
-        cost_a = CostModel()
-        op = factorize(g, seed=0, cost=cost_a)  # uncached: bound to cost_a
-        assert op.cost is cost_a
-        clear_chain_cache()
-        cost_b = CostModel()
-        shared = factorize(g, seed=0, cost=cost_b, cache=True)
-        assert shared.cost is not cost_b
-        # the setup work performed during this call is still mirrored
-        assert cost_b.work == pytest.approx(shared.setup_work)
-        work_before = cost_b.work
+    def test_cache_hit_reports_fresh_setup_cost(self):
+        """A hit carries an uncached factorize's setup numbers, untouched by solves."""
+        g = generators.grid_2d(10, 10)
         _, b = _laplacian_problem(g)
-        factorize(g, seed=0, cache=True).solve(b)  # hit; solves elsewhere
-        assert cost_b.work == work_before  # caller A's accounting untouched
+        fresh = factorize(g, seed=0)
+        cached = factorize(g, seed=0, cache=True)
+        assert (cached.setup_work, cached.setup_depth) == (fresh.setup_work, fresh.setup_depth)
+        factorize(g, seed=0, cache=True).solve(b)  # hit; solves on the shared operator
+        stats = chain_cache_stats()
+        assert (stats.misses, stats.hits) == (1, 1)
+        assert (cached.setup_work, cached.setup_depth) == (fresh.setup_work, fresh.setup_depth)
 
     def test_facade_charges_solve_cost_on_cache_hit(self):
         g = generators.grid_2d(10, 10)
         _, b = _laplacian_problem(g)
-        repro.solve(g, b, seed=0)  # populate
-        cost = CostModel()
-        report = repro.solve(g, b, seed=0, cost=cost)
-        assert cost.work == pytest.approx(report.work)
-        assert cost.work > 0
+        miss = repro.solve(g, b, seed=0)  # populate
+        hit = repro.solve(g, b, seed=0)
+        assert chain_cache_stats().hits == 1
+        assert (hit.work, hit.depth) == (miss.work, miss.depth)
+        assert hit.work > 0
+
+
+class TestMatrixInputs:
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["laplacian", "shifted"])
+    def test_operator_keeps_only_the_input_matrix_beside_its_graph(self, shift):
+        """The Gremban-reduced Laplacian lives on only as ``op.graph``."""
+        lap = graph_to_laplacian(generators.grid_2d(16, 16))
+        matrix = sp.csr_matrix(lap + shift * sp.identity(lap.shape[0])) if shift else lap
+        op = factorize(matrix, seed=0)
+        original = op.original_matrix()
+        csr_bytes = original.data.nbytes + original.indices.nbytes + original.indptr.nbytes
+        graph_bytes = estimate_operator_bytes(factorize(op.graph, seed=0))
+        assert estimate_operator_bytes(op) == graph_bytes + csr_bytes
+        with pytest.raises(ValueError, match="Gremban"):
+            op.update(EdgeEdits.empty())
 
 
 class TestFacade:

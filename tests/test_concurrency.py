@@ -11,6 +11,7 @@ exact under concurrent store/lookup pressure.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -156,20 +157,33 @@ class TestSharedOperatorStress:
         for i, report in enumerate(reports):
             _assert_report_matches(report, ref1 if i % 2 == 0 else ref4)
 
-    def test_cumulative_accounting_is_lossless(self):
-        """op.cost accumulates exactly num_solves * per-solve work."""
+    def test_warm_solves_leave_setup_accounting_unchanged(self):
+        """After warm-up a solve writes no operator state, setup cost included."""
         g, b = _problem()
         op = factorize(g, seed=0)
-        reference = op.solve(b)
-        work_before = op.cost.work
+        methods = ["pcg", "chebyshev", "direct"]
+        # Warm-up: calibrates the Chebyshev bounds and builds the direct factor.
+        references = {m: op.solve(b, method=m) for m in methods}
+        setup = (op.setup_work, op.setup_depth)
+        reports = [[None] * SOLVES_PER_THREAD for _ in range(NUM_THREADS)]
+
+        def method_of(i, j):
+            return methods[(i + j) % len(methods)]
 
         def worker(i):
-            for _ in range(SOLVES_PER_THREAD):
-                op.solve(b)
+            for j in range(SOLVES_PER_THREAD):
+                reports[i][j] = op.solve(b, method=method_of(i, j))
 
-        _run_threads(worker)
-        total = NUM_THREADS * SOLVES_PER_THREAD
-        assert op.cost.work - work_before == pytest.approx(total * reference.work)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often to expose stray writes
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (op.setup_work, op.setup_depth) == setup
+        for i, per_thread in enumerate(reports):
+            for j, report in enumerate(per_thread):
+                _assert_report_matches(report, references[method_of(i, j)])
 
 
 class TestChainCacheConcurrency:

@@ -87,8 +87,7 @@ class TestCoalescingBitIdentity:
             assert np.array_equal(report.x, ref.x)
             assert report.iterations == ref.iterations
             assert report.converged
-            assert report.stats["serving_batch_width"] == 6.0
-            assert report.stats["serving_coalesced"] == 1.0
+            assert report.batch_width == 6
         stats = service.stats()
         assert stats.batches == 1
         assert stats.batch_width_histogram == {6: 1}
@@ -122,8 +121,7 @@ class TestCoalescingBitIdentity:
         for report, ref in zip(reports, refs):
             assert np.array_equal(report.x, ref.x)
             assert report.iterations == ref.iterations
-        widths = [r.stats["serving_batch_width"] for r in reports]
-        assert widths == [2.0, 2.0, 1.0, 1.0]
+        assert [r.batch_width for r in reports] == [2, 2, 1, 1]
         assert service.stats().batches == 3
 
     def test_multiple_graphs_group_separately(self):
@@ -196,7 +194,7 @@ class TestCancellation:
         assert isinstance(results[0], asyncio.CancelledError)
         for i in (1, 2, 3):
             assert np.array_equal(results[i].x, refs[i].x)
-            assert results[i].stats["serving_batch_width"] == 3.0
+            assert results[i].batch_width == 3
         stats = service.stats()
         assert stats.cancelled == 1
         assert stats.served == 3
@@ -519,7 +517,7 @@ class TestSplitReports:
             assert part.iterations == solo.iterations
             assert part.converged == solo.converged
             assert part.depth == batched.depth
-            assert part.stats["batch_width"] == 3.0
+            assert part.batch_width == 3
         assert sum(p.work for p in parts) == pytest.approx(batched.work)
 
     def test_split_vector_and_empty_reports(self):
@@ -527,8 +525,10 @@ class TestSplitReports:
         op = factorize(g, seed=0)
         b = _pool(g, 1)[0]
         vector_report = op.solve(b, tol=1e-8)
+        assert vector_report.batch_width == 1
         assert vector_report.split() == [vector_report]
         empty_report = op.solve(np.zeros((g.n, 0)))
+        assert empty_report.batch_width == 0
         assert empty_report.split() == []
 
 

@@ -18,7 +18,6 @@ from repro.graph import generators
 from repro.graph.laplacian import graph_to_laplacian
 from repro.linalg.direct import solve_laplacian_direct, solve_sdd_direct
 from repro.linalg.norms import relative_a_norm_error
-from repro.pram.model import CostModel
 
 
 def _solve(matrix, b, *, tol, seed, **chain_kwargs):
@@ -107,13 +106,12 @@ class TestLaplacianSolves:
     def test_report_contents(self):
         g = generators.grid_2d(10, 10)
         _, b, _ = _laplacian_problem(g)
-        cost = CostModel()
-        op = repro.factorize(g, seed=0, cost=cost)
+        op = repro.factorize(g, seed=0)
         report = op.solve(b, tol=1e-6)
         assert report.iterations > 0
         assert report.work > 0
         assert report.depth > 0
-        assert report.stats["chain_levels"] >= 1
+        assert op.depth >= 1
 
     def test_tree_only_ablation_converges(self):
         g = generators.grid_2d(12, 12)
@@ -169,19 +167,17 @@ class TestScalingBehaviour:
         ratios = []
         for size in (12, 24):
             g = generators.grid_2d(size, size)
-            cost = CostModel()
-            op = repro.factorize(g, seed=0, cost=cost)
+            op = repro.factorize(g, seed=0)
             b = np.random.default_rng(0).standard_normal(g.n)
             b -= b.mean()
-            op.solve(b, tol=1e-6)
-            ratios.append(cost.work / float(g.n) ** 3)
+            report = op.solve(b, tol=1e-6)
+            ratios.append((op.setup_work + report.work) / float(g.n) ** 3)
         assert ratios[1] < ratios[0]
         assert ratios[1] < 0.2
 
     def test_depth_much_smaller_than_work(self):
         g = generators.grid_2d(20, 20)
-        cost = CostModel()
-        op = repro.factorize(g, seed=0, cost=cost)
+        op = repro.factorize(g, seed=0)
         b = np.random.default_rng(0).standard_normal(g.n)
         b -= b.mean()
         report = op.solve(b, tol=1e-6)

@@ -1,20 +1,11 @@
-"""Tests for the utility modules (rng, validation, records)."""
+"""Tests for the utility modules (rng, records)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-import scipy.sparse as sp
 
 from repro.util.records import ExperimentRow, format_table
 from repro.util.rng import as_rng, derive_seed, spawn_rngs
-from repro.util.validation import (
-    check_positive,
-    check_probability,
-    check_square,
-    check_symmetric,
-    check_vector,
-)
 
 
 class TestRng:
@@ -41,37 +32,6 @@ class TestRng:
     def test_derive_seed_range(self):
         s = derive_seed(np.random.default_rng(0))
         assert 0 <= s < 2**63
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive("x", 2.0) == 2.0
-        with pytest.raises(ValueError):
-            check_positive("x", 0.0)
-        assert check_positive("x", 0.0, strict=False) == 0.0
-        with pytest.raises(ValueError):
-            check_positive("x", -1.0, strict=False)
-
-    def test_check_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
-
-    def test_check_square(self):
-        check_square("m", np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            check_square("m", np.zeros((2, 3)))
-
-    def test_check_vector(self):
-        v = check_vector("b", [1, 2, 3], 3)
-        assert v.dtype == float
-        with pytest.raises(ValueError):
-            check_vector("b", [1, 2], 3)
-
-    def test_check_symmetric(self):
-        check_symmetric("m", sp.csr_matrix(np.eye(3)))
-        with pytest.raises(ValueError):
-            check_symmetric("m", sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 class TestRecords:

@@ -129,7 +129,7 @@ def test_service_rejects_non_finite_request_alone():
     for report, ref in zip((results[0], results[2], results[4]), refs):
         assert np.array_equal(report.x, ref.x)
         assert report.iterations == ref.iterations
-        assert report.stats["serving_batch_width"] == 3.0
+        assert report.batch_width == 3
 
 
 COUNT_ENTRY_POINTS = {
